@@ -75,7 +75,6 @@ from .semantics import (
     derives,
     generation_decompose,
     possession_closure,
-    weakening_holds,
 )
 from .synthesis import (
     CapacityExceeded,

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .semantics import Event, KnowledgeState, possession_closure
-from .terms import AtomicType, type_name
+from .terms import AtomicType, TermExpr, type_name
 
 
 class ConstraintError(Exception):
@@ -138,22 +138,18 @@ def check_positive(states: Sequence[KnowledgeState], c: Positive) -> bool:
 def check_local(events: Sequence[Event], c: LocalSend) -> ComplianceVerdict:
     """Every gate event must be strictly preceded by a send of the same term
     from the gate sender to the designated previous receiver."""
+    forwarded: set[TermExpr] = set()
     for i, e in enumerate(events):
-        if (e.sender, e.msg_type, e.receiver) != (c.gate_sender, c.gate_type, c.gate_receiver):
-            continue
-        forwarded = any(
-            prev.sender == c.gate_sender
-            and prev.receiver == c.must_prev_receiver
-            and prev.term == e.term
-            for prev in events[:i]
-        )
-        if not forwarded:
+        gated = (e.sender, e.msg_type, e.receiver) == (c.gate_sender, c.gate_type, c.gate_receiver)
+        if gated and e.term not in forwarded:
             return _violated(
                 c,
                 i + 1,
                 f"gated send at event {i} has no prior same-term send to "
                 f"{c.must_prev_receiver.name}",
             )
+        if e.sender == c.gate_sender and e.receiver == c.must_prev_receiver:
+            forwarded.add(e.term)
     return _ok()
 
 

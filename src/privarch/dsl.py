@@ -139,9 +139,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(IDENT, word, line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token(NUMBER, text[start:i], line, col))
             col += i - start
@@ -381,7 +381,13 @@ def parse_spec(text: str) -> SpecDocument:
             ts.done()
             if name_tok.text in options:
                 raise ResolveError(f"duplicate option {name_tok.text}", name_tok.line, name_tok.col)
-            options[name_tok.text] = (int(value_tok.text), name_tok)
+            try:
+                value = int(value_tok.text)
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(
+                    f"number too long ({len(value_tok.text)} digits)", value_tok.line, value_tok.col
+                ) from None
+            options[name_tok.text] = (value, name_tok)
         else:
             raise ParseError(
                 f"unknown statement {head.text!r} (expected types, agent, "

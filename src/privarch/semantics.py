@@ -105,45 +105,52 @@ def _check_event_structure(arch: Architecture, i: int, e: Event) -> None:
         )
 
 
-class _DeriveEngine:
-    """Decision procedure for 'after the first L events, agent derives term'.
+def _derivable(
+    held: frozenset[str], delivered: Mapping[TermExpr, int], length: int, term: TermExpr
+) -> bool:
+    """Whether an agent derives `term` after the first `length` events of a
+    trace that is valid up to there.
 
-    A term is derivable at L when its head constructor is initially held and
-    every argument is derivable at L, or when some earlier event delivered
-    exactly this term to the agent and the sender could derive it before
-    sending. The recursion terminates because delivery steps strictly
-    decrease the prefix length and computation steps decrease the term.
+    `held` is the agent's constructors and `delivered` maps each term sent to
+    it to its first delivery index. A term is derivable when it arrived
+    before `length`, or when its head is held and every argument is
+    derivable. Every earlier sender could derive what it sent, since that
+    event passed the validity check, so a delivery needs no look further back.
+    The recursion follows term structure only.
     """
+    first = delivered.get(term)
+    if first is not None and first < length:
+        return True
+    if isinstance(term, App):
+        return _derivable(held, delivered, length, term.fun) and _derivable(
+            held, delivered, length, term.arg
+        )
+    return term.name in held
 
-    def __init__(self, arch: Architecture, events: Sequence[Event]):
-        self.arch = arch
-        self.events = list(events)
-        self._memo: dict[tuple[int, AgentId, TermExpr], bool] = {}
 
-    def derivable(self, length: int, agent: AgentId, term: TermExpr) -> bool:
-        key = (length, agent, term)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._memo[key] = False  # cycle guard; real deliveries strictly descend
-        result = self._compute(length, agent, term)
-        self._memo[key] = result
-        return result
+def _index_trace(
+    arch: Architecture, events: Sequence[Event]
+) -> tuple[TraceCheck, dict[AgentId, dict[TermExpr, int]]]:
+    """One forward pass: the validity verdict plus, per agent, the first
+    delivery index of every term that reached it in the valid prefix."""
+    delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
+    for i, e in enumerate(events):
+        _check_event_structure(arch, i, e)
+        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
+            return TraceCheck(False, i, CHANNEL), delivered
+        if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
+            return TraceCheck(False, i, POSSESSION), delivered
+        delivered[e.receiver].setdefault(e.term, i)
+    return TraceCheck(True), delivered
 
-    def _compute(self, length: int, agent: AgentId, term: TermExpr) -> bool:
-        match term:
-            case Con(name):
-                if name in self.arch.holdings_of(agent):
-                    return True
-            case App(fun, arg):
-                if self.derivable(length, agent, fun) and self.derivable(length, agent, arg):
-                    return True
-        for k in range(length - 1, -1, -1):
-            e = self.events[k]
-            if e.receiver == agent and e.term == term:
-                if self.derivable(k, e.sender, term):
-                    return True
-        return False
+
+def _indexed_valid_trace(
+    arch: Architecture, events: Sequence[Event]
+) -> dict[AgentId, dict[TermExpr, int]]:
+    verdict, delivered = _index_trace(arch, events)
+    if not verdict.valid:
+        raise InvalidTraceError(str(verdict))
+    return delivered
 
 
 def check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck:
@@ -153,14 +160,7 @@ def check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck
     since the verdict reasons are reserved for the two semantic failures:
     the channel does not carry the type, or the sender cannot derive the term.
     """
-    engine = _DeriveEngine(arch, events)
-    for i, e in enumerate(events):
-        _check_event_structure(arch, i, e)
-        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
-            return TraceCheck(False, i, CHANNEL)
-        if not engine.derivable(i, e.sender, e.term):
-            return TraceCheck(False, i, POSSESSION)
-    return TraceCheck(True)
+    return _index_trace(arch, events)[0]
 
 
 def derives(
@@ -176,9 +176,7 @@ def derives(
     does not type-check, or checks at a different type, is simply not
     derivable at `ty`.
     """
-    verdict = check_trace_valid(arch, events)
-    if not verdict.valid:
-        raise InvalidTraceError(str(verdict))
+    delivered = _indexed_valid_trace(arch, events)
     if agent not in arch.agents:
         raise EventTypeError(f"unknown agent {agent.name}")
     try:
@@ -187,7 +185,7 @@ def derives(
         return False
     if inferred != ty:
         return False
-    return _DeriveEngine(arch, events).derivable(len(events), agent, term)
+    return _derivable(arch.holdings_of(agent), delivered[agent], len(events), term)
 
 
 @dataclass(frozen=True)
@@ -205,27 +203,31 @@ class Decomposition:
 def generation_decompose(
     arch: Architecture, events: Sequence[Event], agent: AgentId, term: TermExpr
 ) -> Decomposition:
-    verdict = check_trace_valid(arch, events)
-    if not verdict.valid:
-        raise InvalidTraceError(str(verdict))
-    engine = _DeriveEngine(arch, events)
+    """Follow the term back from `agent` to the agent that computed it.
+
+    While the current holder cannot build the term itself at the current
+    prefix, the chain steps to the latest delivery of the term to the holder
+    before that prefix, and on to its sender. Each step ends the prefix
+    earlier, so one backward sweep over the events finds the whole chain.
+    """
+    delivered = _indexed_valid_trace(arch, events)
     head, args = uncurry(term)
-
-    def locate(length: int, holder: AgentId) -> tuple[AgentId, list[int]]:
-        if head in arch.holdings_of(holder) and all(
-            engine.derivable(length, holder, a) for a in args
+    holder, length, chain = agent, len(events), []
+    while True:
+        held = arch.holdings_of(holder)
+        if head in held and all(
+            _derivable(held, delivered.get(holder, {}), length, a) for a in args
         ):
-            return holder, []
-        for k in range(length - 1, -1, -1):
-            e = events[k]
-            if e.receiver == holder and e.term == term:
-                if engine.derivable(k, e.sender, term):
-                    computer, chain = locate(k, e.sender)
-                    return computer, chain + [k]
-        raise NotDerivable(f"{holder.name} cannot derive {term_to_str(term)}")
-
-    computer, chain = locate(len(events), agent)
-    return Decomposition(computer, head, args, tuple(chain))
+            break
+        k = length - 1
+        while k >= 0 and not (events[k].receiver == holder and events[k].term == term):
+            k -= 1
+        if k < 0:
+            raise NotDerivable(f"{holder.name} cannot derive {term_to_str(term)}")
+        chain.append(k)
+        holder, length = events[k].sender, k
+    chain.reverse()
+    return Decomposition(holder, head, args, tuple(chain))
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,8 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
     Seeds each agent with what its held constructors can build, then folds
     events: the receiver gains the delivered term at its type and the
     receiver's set is re-closed. Sound and complete for type-level
-    possession against the derivability judgement.
+    possession against the derivability judgement. An event that gives its
+    receiver no new type repeats the previous state object.
     """
     verdict = check_trace_valid(arch, events)
     if not verdict.valid:
@@ -285,47 +288,20 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
         mine: dict[AtomicType, TermExpr] = {}
         _close_agent(arch, agent, mine)
         owned[agent] = mine
-
-    def snapshot() -> KnowledgeState:
-        possessed = {a: frozenset(m) for a, m in owned.items() if m}
-        witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
-        return KnowledgeState(possessed, witnesses)
-
-    states = [snapshot()]
+    possessed = {a: frozenset(m) for a, m in owned.items() if m}
+    witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
+    states = [KnowledgeState(possessed, witnesses)]
     for e in events:
         mine = owned[e.receiver]
-        if e.msg_type not in mine:
-            mine[e.msg_type] = e.term
-            _close_agent(arch, e.receiver, mine)
-        states.append(snapshot())
+        if e.msg_type in mine:
+            states.append(states[-1])
+            continue
+        mine[e.msg_type] = e.term
+        _close_agent(arch, e.receiver, mine)
+        # Earlier states keep their maps; only the receiver's entries change.
+        possessed = dict(possessed)
+        possessed[e.receiver] = frozenset(mine)
+        witnesses = dict(witnesses)
+        witnesses.update(((e.receiver, t), w) for t, w in mine.items())
+        states.append(KnowledgeState(possessed, witnesses))
     return states
-
-
-def weakening_holds(
-    arch: Architecture,
-    prefix: Sequence[Event],
-    extension: Sequence[Event],
-    agent: AgentId,
-    term: TermExpr,
-    ty: TypeExpr,
-) -> bool:
-    """Anything derivable after `prefix` stays derivable after appending
-    `extension`; vacuously true when the judgement does not hold at the
-    prefix. Property-test harness."""
-    if not derives(arch, prefix, agent, term, ty):
-        return True
-    return derives(arch, tuple(prefix) + tuple(extension), agent, term, ty)
-
-
-def arrow_possession_is_initial(arch: Architecture, events: Sequence[Event]) -> bool:
-    """Sanity check: a bare constructor of arrow type is derivable only by
-    its initial holders, no matter the trace."""
-    for agent in arch.agents:
-        for decl in arch.type_system.constructors:
-            if is_atomic(decl.signature):
-                continue
-            held = decl.name in arch.holdings_of(agent)
-            derived = derives(arch, events, agent, Con(decl.name), decl.signature)
-            if held != derived:
-                return False
-    return True

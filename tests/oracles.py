@@ -6,20 +6,43 @@ has received. It shares no code with the closure in the package: no
 memoization, no witness bookkeeping, just a fixpoint over a term pool.
 Completeness holds up to the size bound, which is why the random-instance
 generator rejects instances whose closure witnesses exceed that bound.
+
+The derivability reference decides each judgement by scanning the trace
+backwards from the prefix, the direct reading of the derivation rules. It
+costs O(L) per lookup and recurses once per delivery, so it serves only as
+the reference the package's delivery-index semantics is compared against.
+The property-test harnesses for weakening and arrow possession close the
+module.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from privarch import (
+    App,
     Architecture,
     AgentId,
     AtomicType,
+    CalculusError,
+    Con,
+    Decomposition,
     Event,
+    EventTypeError,
+    InvalidTraceError,
+    NotDerivable,
     TermExpr,
+    TraceCheck,
+    TypeExpr,
     apply,
+    derives,
+    infer_type,
     signature_parts,
     term_size,
+    term_to_str,
+    uncurry,
 )
+from privarch.terms import is_atomic
 
 DEFAULT_MAX_SIZE = 6
 
@@ -105,3 +128,144 @@ def global_term_of_type(
         if t_ty == ty and (best is None or term_size(term) < term_size(best)):
             best = term
     return best
+
+
+# ---------------------------------------------------------------------------
+# derivability reference: backward scans over the trace
+
+
+class _DeriveEngine:
+    """Decision procedure for 'after the first L events, agent derives term'.
+
+    A term is derivable at L when its head constructor is initially held and
+    every argument is derivable at L, or when some earlier event delivered
+    exactly this term to the agent and the sender could derive it before
+    sending. The recursion terminates because delivery steps strictly
+    decrease the prefix length and computation steps decrease the term.
+    """
+
+    def __init__(self, arch: Architecture, events: Sequence[Event]):
+        self.arch = arch
+        self.events = list(events)
+        self._memo: dict[tuple[int, AgentId, TermExpr], bool] = {}
+
+    def derivable(self, length: int, agent: AgentId, term: TermExpr) -> bool:
+        key = (length, agent, term)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        self._memo[key] = False  # cycle guard; real deliveries strictly descend
+        result = self._compute(length, agent, term)
+        self._memo[key] = result
+        return result
+
+    def _compute(self, length: int, agent: AgentId, term: TermExpr) -> bool:
+        match term:
+            case Con(name):
+                if name in self.arch.holdings_of(agent):
+                    return True
+            case App(fun, arg):
+                if self.derivable(length, agent, fun) and self.derivable(length, agent, arg):
+                    return True
+        for k in range(length - 1, -1, -1):
+            e = self.events[k]
+            if e.receiver == agent and e.term == term:
+                if self.derivable(k, e.sender, term):
+                    return True
+        return False
+
+
+def reference_check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck:
+    engine = _DeriveEngine(arch, events)
+    for i, e in enumerate(events):
+        for end in (e.sender, e.receiver):
+            if end not in arch.agents:
+                raise EventTypeError(f"event {i}: unknown agent {end.name}")
+        if infer_type(arch.type_system, e.term) != e.msg_type:
+            raise EventTypeError(f"event {i}: term does not have the declared type")
+        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
+            return TraceCheck(False, i, "channel")
+        if not engine.derivable(i, e.sender, e.term):
+            return TraceCheck(False, i, "possession")
+    return TraceCheck(True)
+
+
+def _require_valid(arch: Architecture, events: Sequence[Event]) -> None:
+    verdict = reference_check_trace_valid(arch, events)
+    if not verdict.valid:
+        raise InvalidTraceError(str(verdict))
+
+
+def reference_derives(
+    arch: Architecture,
+    events: Sequence[Event],
+    agent: AgentId,
+    term: TermExpr,
+    ty: TypeExpr,
+) -> bool:
+    _require_valid(arch, events)
+    try:
+        inferred = infer_type(arch.type_system, term)
+    except CalculusError:
+        return False
+    if inferred != ty:
+        return False
+    return _DeriveEngine(arch, events).derivable(len(events), agent, term)
+
+
+def reference_decompose(
+    arch: Architecture, events: Sequence[Event], agent: AgentId, term: TermExpr
+) -> Decomposition:
+    _require_valid(arch, events)
+    engine = _DeriveEngine(arch, events)
+    head, args = uncurry(term)
+
+    def locate(length: int, holder: AgentId) -> tuple[AgentId, list[int]]:
+        if head in arch.holdings_of(holder) and all(
+            engine.derivable(length, holder, a) for a in args
+        ):
+            return holder, []
+        for k in range(length - 1, -1, -1):
+            e = events[k]
+            if e.receiver == holder and e.term == term:
+                if engine.derivable(k, e.sender, term):
+                    computer, chain = locate(k, e.sender)
+                    return computer, chain + [k]
+        raise NotDerivable(f"{holder.name} cannot derive {term_to_str(term)}")
+
+    computer, chain = locate(len(events), agent)
+    return Decomposition(computer, head, args, tuple(chain))
+
+
+# ---------------------------------------------------------------------------
+# property-test harnesses
+
+
+def weakening_holds(
+    arch: Architecture,
+    prefix: Sequence[Event],
+    extension: Sequence[Event],
+    agent: AgentId,
+    term: TermExpr,
+    ty: TypeExpr,
+) -> bool:
+    """Anything derivable after `prefix` stays derivable after appending
+    `extension`; vacuously true when the judgement does not hold at the
+    prefix."""
+    if not derives(arch, prefix, agent, term, ty):
+        return True
+    return derives(arch, tuple(prefix) + tuple(extension), agent, term, ty)
+
+
+def arrow_possession_is_initial(arch: Architecture, events: Sequence[Event]) -> bool:
+    """A bare constructor of arrow type is derivable only by its initial
+    holders, no matter the trace."""
+    for agent in arch.agents:
+        for decl in arch.type_system.constructors:
+            if is_atomic(decl.signature):
+                continue
+            held = decl.name in arch.holdings_of(agent)
+            derived = derives(arch, events, agent, Con(decl.name), decl.signature)
+            if held != derived:
+                return False
+    return True

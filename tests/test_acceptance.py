@@ -47,7 +47,6 @@ from privarch import (
     unwrapper_form,
     verify_partition_v1,
     verify_partition_v2,
-    weakening_holds,
 )
 from privarch.cli import main
 
@@ -60,7 +59,7 @@ from generators import (
     mk_negcreate_set,
     mk_negpossess_set,
 )
-from oracles import oracle_possession
+from oracles import oracle_possession, weakening_holds
 
 SUITE_SEED = 0xACCE
 SUITE_SIZE = 1000

@@ -317,3 +317,35 @@ def test_unknown_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # '²' is a digit to str.isdigit but not a decimal int() can read.
+        ("²", "unexpected character '²'"),
+        ("1" * 5000, "number too long (5000 digits)"),
+    ],
+)
+def test_unreadable_option_number_is_a_clean_error(capsys, tmp_path, value, message):
+    spec = tmp_path / "option.parch"
+    spec.write_text(f"types A;\nagent X holds a: A;\noption algorithm = {value};\n")
+    code, _, err = run(capsys, "synthesize", str(spec))
+    assert code == 2
+    assert err == f"error: line 3, col 20: {message}\n"
+
+
+def test_deeply_nested_term_is_a_clean_error(capsys, tmp_path):
+    spec = tmp_path / "deep.parch"
+    spec.write_text(
+        "types A;\nagent S holds a: A, f: A -> A;\nagent B;\nchannel S -> B : A;\n"
+    )
+    term = "a"
+    for _ in range(5000):
+        term = f"f({term})"
+    trace = tmp_path / "deep.trace"
+    trace.write_text(f"S -> B : {term} : A;\n")
+    code, out, err = run(capsys, "check", str(spec), str(trace))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

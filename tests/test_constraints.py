@@ -161,6 +161,18 @@ def test_local_gate_ignores_other_sends():
     assert check_local(events, gate).compliant
 
 
+def test_local_gate_does_not_count_the_gated_send_itself():
+    # When the gate's receiver is also the designated previous receiver, the
+    # gated send cannot be its own prior forward.
+    i_parent = AgentId.interface_of(PARENT)
+    gate = LocalSend(i_parent, POLICY, PARENT, PARENT)
+    once = [Event(i_parent, Con("policy"), POLICY, PARENT)]
+    verdict = check_local(once, gate)
+    assert verdict.violations == (
+        (gate, 1, "gated send at event 0 has no prior same-term send to Parent"),
+    )
+
+
 def test_compliance_report_aggregates(coppa):
     events = [Event(CHILD, Con("info"), INFO, WEBSITE)]
     rep = check_trace_compliance(

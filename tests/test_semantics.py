@@ -14,11 +14,13 @@ import pytest
 from privarch import (
     AgentId,
     Architecture,
+    Arrow,
     Base,
     Con,
     ConstructorDecl,
     Event,
     EventTypeError,
+    InvalidTraceError,
     NotDerivable,
     TypeSystem,
     apply,
@@ -28,12 +30,18 @@ from privarch import (
     infer_type,
     possession_closure,
     term_size,
+)
+
+from generators import bounded_instance, corrupt_event, mk_architecture, mk_valid_trace
+from oracles import (
+    arrow_possession_is_initial,
+    global_term_of_type,
+    oracle_possession,
+    reference_check_trace_valid,
+    reference_decompose,
+    reference_derives,
     weakening_holds,
 )
-from privarch.semantics import arrow_possession_is_initial
-
-from generators import bounded_instance, mk_valid_trace
-from oracles import oracle_possession
 
 INFO = Base("INFO")
 CONSENT = Base("CONSENT")
@@ -300,3 +308,115 @@ def test_messages_never_grant_arrow_types():
     for _ in range(25):
         arch, events = bounded_instance(rng)
         assert arrow_possession_is_initial(arch, events)
+
+
+# ---------------------------------------------------------------------------
+# delivery index against the backward-scan reference
+
+
+def _verdict(check):
+    return (check.valid, check.index, check.reason)
+
+
+def _decomposition(arch, events, agent, term, decompose):
+    try:
+        return decompose(arch, events, agent, term)
+    except NotDerivable as exc:
+        return ("not derivable", str(exc))
+
+
+def _probe_terms(arch, events):
+    """Terms worth asking about: every closure witness, every delivered
+    term, a smallest term of each type, and each bare constructor."""
+    terms = {e.term for e in events}
+    for state in possession_closure(arch, events):
+        terms.update(state.witnesses.values())
+    for ty in arch.type_system.atomic_types:
+        term = global_term_of_type(arch, ty)
+        if term is not None:
+            terms.add(term)
+    terms.update(Con(d.name) for d in arch.type_system.constructors)
+    return sorted(terms, key=str)
+
+
+def test_delivery_index_matches_reference_random():
+    rng = random.Random(0xC10B)
+    corrupted = 0
+    for case in range(80):
+        arch = mk_architecture(rng)
+        events = mk_valid_trace(rng, arch, max_len=4 if case % 2 else 12)
+        assert _verdict(check_trace_valid(arch, events)) == _verdict(
+            reference_check_trace_valid(arch, events)
+        )
+        bad = corrupt_event(rng, arch, events)
+        if bad is not None:
+            _, bad_events, _ = bad
+            assert _verdict(check_trace_valid(arch, bad_events)) == _verdict(
+                reference_check_trace_valid(arch, bad_events)
+            )
+            corrupted += 1
+        cut = rng.randint(0, len(events))
+        for prefix in (events[:cut], events):
+            for term in _probe_terms(arch, prefix):
+                ty = infer_type(arch.type_system, term)
+                for agent in sorted(arch.agents, key=lambda a: a.name):
+                    assert derives(arch, prefix, agent, term, ty) == reference_derives(
+                        arch, prefix, agent, term, ty
+                    ), (case, agent, term)
+                    assert _decomposition(
+                        arch, prefix, agent, term, generation_decompose
+                    ) == _decomposition(arch, prefix, agent, term, reference_decompose)
+    assert corrupted >= 30
+
+
+def test_decompose_reads_an_argument_at_its_first_delivery():
+    a, t = Base("A"), Base("T")
+    s, b, c = AgentId("S"), AgentId("B"), AgentId("C")
+    arch = Architecture.build(
+        TypeSystem.build([a, t], [ConstructorDecl("a", a), ConstructorDecl("f", Arrow(a, t))]),
+        [s, b, c],
+        {s: {"a"}, b: {"f"}, c: set()},
+        {(s, b): {a}, (b, c): {t}},
+    )
+    fa = apply("f", [Con("a")])
+    # B computes f(a) from the first copy of a; a second copy arrives later.
+    events = [ev(s, Con("a"), a, b), ev(b, fa, t, c), ev(s, Con("a"), a, b)]
+    d = generation_decompose(arch, events, c, fa)
+    assert (d.computer, d.head, d.args, d.delivery_chain) == (b, "f", (Con("a"),), (1,))
+    assert d == reference_decompose(arch, events, c, fa)
+
+
+def test_derivability_refuses_an_invalid_trace(coppa):
+    bad = [ev(WEBSITE, Con("info"), INFO, CHILD)]
+    with pytest.raises(InvalidTraceError):
+        derives(coppa, bad, WEBSITE, Con("info"), INFO)
+    with pytest.raises(InvalidTraceError):
+        generation_decompose(coppa, bad, WEBSITE, Con("info"))
+
+
+# ---------------------------------------------------------------------------
+# long traces
+
+
+def test_long_relay_trace():
+    a = Base("A")
+    s, b, c = AgentId("S"), AgentId("B"), AgentId("C")
+    arch = Architecture.build(
+        TypeSystem.build([a], [ConstructorDecl("a", a)]),
+        [s, b, c],
+        {s: {"a"}, b: set(), c: set()},
+        {(s, b): {a}, (b, c): {a}, (c, b): {a}},
+    )
+    hops = 20_000
+    events = [ev(s, Con("a"), a, b)]
+    for i in range(hops):
+        sender, receiver = (b, c) if i % 2 == 0 else (c, b)
+        events.append(ev(sender, Con("a"), a, receiver))
+    assert check_trace_valid(arch, events).valid
+    assert derives(arch, events, c, Con("a"), a)
+    d = generation_decompose(arch, events, c, Con("a"))
+    # Event 0 is S -> B and the hops alternate B -> C, C -> B, so with an
+    # even hop count C last received the term at event hops - 1, and every
+    # event before it is on the chain.
+    assert d.computer == s
+    assert d.delivery_chain == tuple(range(hops))
