@@ -122,8 +122,8 @@ def corrupt_event(
         for kind in kinds:
             if kind == "channel":
                 options = []
-                for s in arch.agents:
-                    for r in arch.agents:
+                for s in arch.sorted_agents():
+                    for r in arch.sorted_agents():
                         if s == r:
                             continue
                         for ty in state.types_of(s):
@@ -153,7 +153,7 @@ def corrupt_event(
 def uncomputable_pairs(arch: Architecture) -> list[tuple[AgentId, AtomicType]]:
     return [
         (a, t)
-        for a in arch.agents
+        for a in arch.sorted_agents()
         for t in sorted(arch.type_system.atomic_types, key=lambda t: t.name)
         if not can_compute(arch, a, t)
     ]

@@ -8,7 +8,9 @@ validates them internally.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,22 +21,35 @@ from privarch import (
     ConstructorDecl,
     Event,
     ExplorerError,
+    Grant,
     InvalidArchitecture,
     LocalSend,
     NegCreate,
     NegPossess,
     Positive,
     TypeSystem,
+    build_safe_architecture_v2,
     check_local,
     check_trace_compliance,
     check_trace_valid,
     default_budget,
     explore,
+    parse_spec,
     possession_closure,
+    relax_with_local_constraints,
 )
 from privarch.explorer import DEFAULT_BUDGET
 
-from generators import bounded_instance, mk_negpossess_set
+from conftest import read_fixture
+from generators import (
+    bounded_instance,
+    mk_architecture,
+    mk_negcreate_set,
+    mk_negpossess_set,
+    uncomputable_pairs,
+)
+
+GOLDEN = Path(__file__).with_name("explore_golden.json")
 
 CHILD = AgentId("Child")
 PARENT = AgentId("Parent")
@@ -241,3 +256,86 @@ def test_safe_relaxed_example_depth_twelve(coppa_relaxed_doc, witness_events):
     (goal, trace), = outcome.witnesses
     assert goal == Positive(WEBSITE, INFO)
     assert sorted(map(str, trace)) == sorted(map(str, witness_events))
+
+
+def test_uncomputable_pairs_follow_agent_order():
+    # Generators feed this list to rng.choice, so its order must not follow
+    # frozenset iteration, which changes from process to process.
+    ts = TypeSystem.build([A], [])
+    originals = [AgentId(n) for n in ("P2", "P0", "P1")]
+    agents = originals + [AgentId.interface_of(originals[0]), AgentId.output_of(originals[1])]
+    agents.append(AgentId("Q"))
+    arch = Architecture.build(ts, agents, {}, {})
+    assert [a for a, _ in uncomputable_pairs(arch)] == arch.sorted_agents()
+
+
+def _outcome_lines(outcome) -> list[str]:
+    lines = [f"states {outcome.states_visited} exhausted {outcome.exhausted}"]
+    for c, trace in outcome.counterexamples:
+        lines.append(f"counterexample {c}: " + "; ".join(map(str, trace)))
+    for g, trace in outcome.witnesses:
+        lines.append(f"witness {g}: " + "; ".join(map(str, trace)))
+    lines.extend(f"missing {g}" for g in outcome.missing_witnesses)
+    return lines
+
+
+def golden_outcomes() -> dict[str, list[str]]:
+    """`explore` on the fixtures and on seeded generator instances, each as
+    generated, synthesized, and grant-relaxed with its gates, all with
+    positive goals; `explore_golden.json` holds the recorded result."""
+    out = {}
+    for name, depth in (
+        ("coppa.parch", 3), ("coppa_safe.parch", 3), ("coppa_safe_relaxed.parch", 12)
+    ):
+        doc = parse_spec(read_fixture(name))
+        outcome = explore(doc.architecture, doc.constraints, depth=depth, budget=20_000)
+        out[f"{name} depth {depth}"] = _outcome_lines(outcome)
+    rng = random.Random(7)
+    case = 0
+    while case < 14:
+        arch = mk_architecture(rng, n_agents=2)
+        negatives = mk_negpossess_set(rng, arch)
+        if negatives is None:
+            continue
+        creates = mk_negcreate_set(rng, arch)
+        types = sorted(arch.type_system.atomic_types, key=lambda t: t.name)
+        goals = [Positive(rng.choice(arch.sorted_agents()), rng.choice(types))]
+        outcome = explore(arch, creates + negatives + goals, depth=4, budget=2000)
+        out[f"{case} original"] = _outcome_lines(outcome)
+
+        safe = build_safe_architecture_v2(arch, negatives)
+        agents = safe.arch.sorted_agents()
+        grants = [
+            Grant(AgentId.interface_of(a), t, AgentId.output_of(a))
+            for a in arch.sorted_agents()
+            for t in types
+            if rng.random() < 0.5
+        ]
+        # Constraints over interface agents, which the synthesis does not
+        # protect, give counterexamples whose routes can cross the grants;
+        # "O:X ni T => X ni T" holds only while the gate on I:X -> O:X holds.
+        probes = goals + [
+            Positive(rng.choice(agents), rng.choice(types)),
+            NegCreate(rng.choice(agents), rng.choice(types), rng.choice(types)),
+        ]
+        subject, holder = rng.choice(agents), rng.choice(agents)
+        trigger, required = rng.choice(types), rng.choice(types)
+        if (subject, trigger) != (holder, required):
+            probes.append(NegPossess(subject, trigger, holder, required))
+        for g in grants[:1]:
+            owner = arch.agent_named(g.input_agent.owner)
+            probes.append(NegPossess(g.output_agent, g.msg_type, owner, g.msg_type))
+        outcome = explore(safe.arch, negatives + probes, depth=5, budget=6000)
+        out[f"{case} synthesized"] = _outcome_lines(outcome)
+
+        relaxed, gates = relax_with_local_constraints(safe, grants)
+        outcome = explore(
+            relaxed.arch, negatives + probes, depth=5, budget=6000, local_constraints=gates
+        )
+        out[f"{case} relaxed"] = _outcome_lines(outcome)
+        case += 1
+    return out
+
+
+def test_explore_outcomes_match_the_golden_record():
+    assert golden_outcomes() == json.loads(GOLDEN.read_text())
