@@ -13,6 +13,9 @@ the concrete trace semantics.
 Local-send gates are tracked per state as discharged-obligation bits; term
 identity is approximated by type identity during search and checked on the
 reconstructed concrete trace, which drops the candidate if a gate fails.
+One gate table, built once per search, serves every abstract pass: for each
+gated send, the bits it needs and the forward sends that set them; for each
+forward send, the bits it sets. `check_local` stays the concrete reference.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Sequence
 from .architecture import (
     Architecture,
     AgentId,
-    ArchitectureError,
     InvalidArchitecture,
     validate_architecture,
 )
@@ -39,8 +41,16 @@ from .constraints import (
     check_neg_possess,
     check_positive,
 )
-from .semantics import Event, Trace, _close_agent, check_trace_valid, possession_closure
-from .terms import AtomicType, TermExpr, signature_parts, type_sort_key
+from .semantics import (
+    Event,
+    KnowledgeState,
+    Trace,
+    check_trace_valid,
+    possession_closure,
+    receive,
+    seed_witnesses,
+)
+from .terms import AtomicType, signature_parts, type_name, type_sort_key
 
 DEFAULT_DEPTH = 12
 DEFAULT_BUDGET = 1_000_000
@@ -95,7 +105,6 @@ class _Encoding:
     knowledge state one integer with gate-discharge bits above the fields."""
 
     def __init__(self, arch: Architecture, gates: Sequence[LocalSend]):
-        self.arch = arch
         self.agents: list[AgentId] = arch.sorted_agents()
         self.agent_idx = {a: i for i, a in enumerate(self.agents)}
         self.types: list[AtomicType] = sorted(
@@ -105,33 +114,36 @@ class _Encoding:
         self.width = len(self.types)
         self.type_mask = (1 << self.width) - 1
         self.gate_shift = len(self.agents) * self.width
-        self.gates = list(gates)
 
-        # Per agent: constructor rows (args mask, target bit, name), name order.
-        self.ctors: list[list[tuple[int, int, str]]] = []
+        # Per agent: constructor rows (args mask, target idx, arg idxs in
+        # ascending order), constructor name order.
+        self.ctors: list[list[tuple[int, int, tuple[int, ...]]]] = []
         for a in self.agents:
-            entries = []
+            rows = []
             for name in sorted(arch.holdings_of(a)):
                 args, target = signature_parts(arch.type_system.constructor(name))
+                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
                 mask = 0
-                for t in args:
-                    mask |= 1 << self.type_idx[t]
-                entries.append((mask, 1 << self.type_idx[target], name))
-            self.ctors.append(entries)
+                for idx in arg_idxs:
+                    mask |= 1 << idx
+                rows.append((mask, self.type_idx[target], arg_idxs))
+            self.ctors.append(rows)
 
-        # Gate bookkeeping keyed by (sender idx, type idx, receiver idx):
+        # The gate table, keyed by (sender idx, type idx, receiver idx):
         # required - gates that must already be discharged for this send;
+        # forwards - the forward sends (sender, type, previous receiver) that
+        #   discharge them, in gate order;
         # sets - gates this send discharges (it is their forward send).
         self.gate_required: dict[tuple[int, int, int], int] = {}
+        self.gate_forwards: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
         self.gate_sets: dict[tuple[int, int, int], int] = {}
-        for gi, g in enumerate(self.gates):
+        for gi, g in enumerate(gates):
             s = self.agent_idx[g.gate_sender]
             t = self.type_idx[g.gate_type]
-            r = self.agent_idx[g.gate_receiver]
-            mp = self.agent_idx[g.must_prev_receiver]
-            key = (s, t, r)
+            key = (s, t, self.agent_idx[g.gate_receiver])
+            fkey = (s, t, self.agent_idx[g.must_prev_receiver])
             self.gate_required[key] = self.gate_required.get(key, 0) | (1 << gi)
-            fkey = (s, t, mp)
+            self.gate_forwards.setdefault(key, []).append(fkey)
             self.gate_sets[fkey] = self.gate_sets.get(fkey, 0) | (1 << gi)
 
         # Channel rows carry masks of the types whose sends are gated or
@@ -160,33 +172,23 @@ class _Encoding:
         if out is not None:
             return out
         closed = mask
-        entries = self.ctors[agent]
         changed = True
         while changed:
             changed = False
-            for args_mask, target_bit, _ in entries:
-                if closed & target_bit:
+            for args_mask, target, _ in self.ctors[agent]:
+                if (closed >> target) & 1:
                     continue
                 if (closed & args_mask) == args_mask:
-                    closed |= target_bit
+                    closed |= 1 << target
                     changed = True
         memo[mask] = closed
         return closed
 
-    def initial_fields(self) -> list[int]:
-        return [self.closure(i, 0) for i in range(len(self.agents))]
-
-    def pack(self, fields: Sequence[int], gate_bits: int = 0) -> int:
-        state = gate_bits << self.gate_shift
-        for i, f in enumerate(fields):
-            state |= f << (i * self.width)
+    def initial_state(self) -> int:
+        state = 0
+        for i in range(len(self.agents)):
+            state |= self.closure(i, 0) << (i * self.width)
         return state
-
-    def field(self, state: int, agent: int) -> int:
-        return (state >> (agent * self.width)) & self.type_mask
-
-    def event_code(self, s: int, t: int, r: int) -> int:
-        return (s * self.width + t) * len(self.agents) + r
 
     def decode_event(self, code: int) -> AbstractEvent:
         n = len(self.agents)
@@ -203,11 +205,7 @@ def reconstruct_trace(
     """Turn an abstract send sequence into a concrete trace using canonical
     witness terms (the knowledge-closure rule: witnesses are assigned once,
     smallest first, never replaced)."""
-    owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
-    for agent in arch.sorted_agents():
-        mine: dict[AtomicType, TermExpr] = {}
-        _close_agent(arch, agent, mine)
-        owned[agent] = mine
+    owned = seed_witnesses(arch)
     events: list[Event] = []
     for sender, msg_type, receiver in abstract_events:
         term = owned[sender].get(msg_type)
@@ -216,11 +214,25 @@ def reconstruct_trace(
                 f"sender {sender.name} holds no witness for the scheduled send"
             )
         events.append(Event(sender, term, msg_type, receiver))
-        mine = owned[receiver]
-        if msg_type not in mine:
-            mine[msg_type] = term
-            _close_agent(arch, receiver, mine)
+        receive(arch, owned, events[-1])
     return tuple(events)
+
+
+def _concrete_check(
+    arch: Architecture, gates: Sequence[LocalSend], abstract: Sequence[AbstractEvent]
+) -> tuple[Trace, list[KnowledgeState]] | None:
+    """Rebuild the concrete trace of an abstract path and its possession
+    states. None when the trace breaks a local-send gate (the bit-level
+    discharge is term-blind); an invalid trace is a bug and raises."""
+    trace = reconstruct_trace(arch, abstract)
+    check = check_trace_valid(arch, trace)
+    if not check.valid:
+        raise ReconstructionFailure(
+            f"reconstructed trace invalid at index {check.index}: {check.reason}"
+        )
+    if not all(check_local(trace, g).compliant for g in gates):
+        return None
+    return trace, possession_closure(arch, trace)
 
 
 # --- saturation + demand-driven witness extraction --------------------------
@@ -246,25 +258,12 @@ def _saturate(enc: _Encoding) -> _Saturation:
         changed = True
         while changed:
             changed = False
-            for args_mask, target_bit, name in enc.ctors[agent]:
-                t = target_bit.bit_length() - 1
+            for _, t, arg_idxs in enc.ctors[agent]:
                 if (agent, t) in atom_round:
                     continue
-                arg_idxs = []
-                ok = True
-                need = args_mask
-                idx = 0
-                while need:
-                    if need & 1:
-                        if (agent, idx) not in atom_round:
-                            ok = False
-                            break
-                        arg_idxs.append(idx)
-                    need >>= 1
-                    idx += 1
-                if ok:
+                if all((agent, idx) in atom_round for idx in arg_idxs):
                     atom_round[(agent, t)] = wave
-                    derivation[(agent, t)] = ("ctor", name, tuple(arg_idxs))
+                    derivation[(agent, t)] = ("ctor", arg_idxs)
                     changed = True
 
     for i in range(len(enc.agents)):
@@ -285,22 +284,11 @@ def _saturate(enc: _Encoding) -> _Saturation:
                 sr = atom_round.get((s, t))
                 if sr is None or sr >= wave:
                     continue  # sender must possess strictly before this wave
-                req = enc.gate_required.get((s, t, r), 0)
-                if req:
-                    blocked = False
-                    rr, gi = req, 0
-                    while rr:
-                        if rr & 1:
-                            g = enc.gates[gi]
-                            mp = enc.agent_idx[g.must_prev_receiver]
-                            fr = forward_round.get((s, t, mp))
-                            if fr is None or fr >= wave:
-                                blocked = True
-                                break
-                        rr >>= 1
-                        gi += 1
-                    if blocked:
-                        continue
+                if any(
+                    forward_round.get(fkey, wave) >= wave
+                    for fkey in enc.gate_forwards.get((s, t, r), ())
+                ):
+                    continue  # a gate's forward send has not happened yet
                 if (s, t, r) in enc.gate_sets and (s, t, r) not in forward_round:
                     forward_round[(s, t, r)] = wave
                     progressed = True
@@ -333,15 +321,8 @@ def _demand_witness(
         seen_events.add(key)
         events[key] = wave
         demand_atom(s, t)
-        req = enc.gate_required.get(key, 0)
-        gi = 0
-        while req:
-            if req & 1:
-                g = enc.gates[gi]
-                mp = enc.agent_idx[g.must_prev_receiver]
-                demand_event(s, t, mp, sat.forward_round[(s, t, mp)])
-            req >>= 1
-            gi += 1
+        for fkey in enc.gate_forwards.get(key, ()):
+            demand_event(*fkey, sat.forward_round[fkey])
 
     def demand_atom(agent: int, t: int) -> None:
         if (agent, t) in seen_atoms:
@@ -349,7 +330,7 @@ def _demand_witness(
         seen_atoms.add((agent, t))
         deriv = sat.derivation[(agent, t)]
         if deriv[0] == "ctor":
-            for arg in deriv[2]:
+            for arg in deriv[1]:
                 demand_atom(agent, arg)
         else:
             _, sender, wave = deriv
@@ -418,63 +399,46 @@ def explore(
     gates = list(dict.fromkeys(gates))
     if len(gates) > MAX_GATES:
         raise ExplorerError("too many local-send constraints to track")
-    def agent_of(a: AgentId) -> AgentId:
-        try:
-            return arch.agent_named(a.name)
-        except ArchitectureError as exc:
-            raise ExplorerError(
-                f"constraint references an undeclared agent {a.name}"
-            ) from exc
-
     for g in gates:
         if g.gate_receiver == g.must_prev_receiver:
             raise ExplorerError(
                 "degenerate local-send constraint: gate receiver equals the "
                 "required previous receiver"
             )
-        for a in (g.gate_sender, g.gate_receiver, g.must_prev_receiver):
-            agent_of(a)
+    # Every constraint field is an agent or an atomic type.
+    declared = arch.type_system.atomic_types
+    for c in (*gates, *negatives, *positives):
+        for ref in vars(c).values():
+            if isinstance(ref, AgentId):
+                if ref not in arch.agents:
+                    raise ExplorerError(
+                        f"constraint references an undeclared agent {ref.name}"
+                    )
+            elif ref not in declared:
+                raise ExplorerError(
+                    f"constraint references an undeclared type {type_name(ref)}"
+                )
 
     enc = _Encoding(arch, gates)
     n_agents = len(enc.agents)
     width = enc.width
-    type_mask = enc.type_mask
     gate_shift = enc.gate_shift
 
-    def type_bit(t: AtomicType) -> int:
-        idx = enc.type_idx.get(t)
-        if idx is None:
-            raise ExplorerError(
-                f"constraint references an undeclared type {t!r}"
-            )
-        return 1 << idx
-
-    neg_enc: list[tuple[int, int, int | None, int, NegCreate | NegPossess]] = []
-    for c in negatives:
-        subj = enc.agent_idx[agent_of(c.subject)]
-        trig_bit = type_bit(c.trigger)
-        req_bit = type_bit(c.required)
-        holder = (
-            enc.agent_idx[agent_of(c.holder)]
-            if isinstance(c, NegPossess)
-            else None
+    # One row per negative constraint: (trigger mask, required mask, index).
+    # The state violates it when it has the trigger bit and no required bit;
+    # the creation form's required mask has the bit in every agent's field.
+    rows: list[tuple[int, int, int]] = []
+    for ci, c in enumerate(negatives):
+        trigger = 1 << (enc.agent_idx[c.subject] * width + enc.type_idx[c.trigger])
+        holders = (
+            [enc.agent_idx[c.holder]] if isinstance(c, NegPossess) else range(n_agents)
         )
-        neg_enc.append((subj, trig_bit, holder, req_bit, c))
-    for g in gates:
-        type_bit(g.gate_type)
+        required = 0
+        for h in holders:
+            required |= 1 << (h * width + enc.type_idx[c.required])
+        rows.append((trigger, required, ci))
 
     found: dict[int, tuple[Constraint, Trace]] = {}
-
-    def violated_at(state: int, ci: int) -> bool:
-        subj, trig_bit, holder, req_bit, _ = neg_enc[ci]
-        if not (state >> (subj * width)) & trig_bit:
-            return False
-        if holder is not None:
-            return not (state >> (holder * width)) & req_bit
-        union = 0
-        for i in range(n_agents):
-            union |= (state >> (i * width)) & type_mask
-        return not union & req_bit
 
     def path_to(state: int) -> list[AbstractEvent]:
         codes: list[int] = []
@@ -488,20 +452,13 @@ def explore(
         return [enc.decode_event(c) for c in reversed(codes)]
 
     def try_record(state: int, ci: int) -> None:
-        """Validate the abstract counterexample concretely. A local-send gate
-        can reject the reconstructed terms (the bit-level gate discharge is
-        term-blind); such candidates are dropped and the search goes on. Any
-        other mismatch is a bug and raises."""
-        trace = reconstruct_trace(arch, path_to(state))
-        check = check_trace_valid(arch, trace)
-        if not check.valid:
-            raise ReconstructionFailure(
-                f"reconstructed trace invalid at index {check.index}: {check.reason}"
-            )
-        if not all(check_local(trace, g).compliant for g in gates):
+        """Record the counterexample if its concrete trace keeps every gate;
+        otherwise the candidate is dropped and the search goes on."""
+        checked = _concrete_check(arch, gates, path_to(state))
+        if checked is None:
             return
-        states = possession_closure(arch, trace)
-        c = neg_enc[ci][4]
+        trace, states = checked
+        c = negatives[ci]
         verdict = (
             check_neg_create(states, c)
             if isinstance(c, NegCreate)
@@ -511,37 +468,24 @@ def explore(
             raise ReconstructionFailure("abstract violation vanished on the concrete trace")
         found[ci] = (c, trace)
 
-    root = enc.pack(enc.initial_fields())
+    root = enc.initial_state()
     visited: dict[int, tuple[int | None, int]] = {root: (None, -1)}
     states_visited = 1
     budget_cut = False
 
-    for ci in range(len(neg_enc)):
-        if violated_at(root, ci):
+    for trigger, required, ci in rows:
+        if root & trigger and not root & required:
             try_record(root, ci)
 
-    pending = [ci for ci in range(len(neg_enc)) if ci not in found]
+    pending = [row for row in rows if row[2] not in found]
     frontier = [root]
     channels = enc.channels
     closure_memos = enc._closure_memo
     closure = enc.closure
     gate_required = enc.gate_required
     gate_sets = enc.gate_sets
+    type_mask = enc.type_mask
     layers_done = 0
-
-    # Hot-loop view of still-pending negatives: precomputed shifts so the
-    # per-successor check is a couple of integer operations.
-    def hot(cis: list[int]) -> list[tuple[int, int, int, int, int]]:
-        rows = []
-        for ci in cis:
-            subj, trig_bit, holder, req_bit, _ = neg_enc[ci]
-            rows.append(
-                (subj * width, trig_bit, -1 if holder is None else holder * width,
-                 req_bit, ci)
-            )
-        return rows
-
-    neg_hot = hot(pending)
 
     while frontier and pending and layers_done < depth and not budget_cut:
         nxt: list[int] = []
@@ -581,21 +525,11 @@ def explore(
                     )
                     states_visited += 1
                     nxt.append(succ)
-                    for subj_sh, trig_bit, holder_sh, req_bit, ci in neg_hot:
-                        if (succ >> subj_sh) & trig_bit:
-                            if holder_sh >= 0:
-                                if (succ >> holder_sh) & req_bit:
-                                    continue
-                            else:
-                                union = 0
-                                for i in range(n_agents):
-                                    union |= (succ >> (i * width)) & type_mask
-                                if union & req_bit:
-                                    continue
+                    for trigger, required, ci in pending:
+                        if succ & trigger and not succ & required:
                             try_record(succ, ci)
                             if ci in found:
-                                pending.remove(ci)
-                                neg_hot = hot(pending)
+                                pending = [row for row in pending if row[2] != ci]
                 if budget_cut or not pending:
                     break
                 m = sendable & fr & sets_mask
@@ -633,21 +567,15 @@ def explore(
     if positives:
         sat = _saturate(enc)
         for goal in positives:
-            agent = enc.agent_idx[agent_of(goal.subject)]
-            t = enc.type_idx[goal.goal]
-            abstract = _demand_witness(enc, sat, agent, t)
+            agent = enc.agent_idx[goal.subject]
+            abstract = _demand_witness(enc, sat, agent, enc.type_idx[goal.goal])
             if abstract is None or len(abstract) > depth:
                 missing.append(goal)
                 continue
-            trace = reconstruct_trace(arch, abstract)
-            check = check_trace_valid(arch, trace)
-            if not check.valid:
-                raise ReconstructionFailure(
-                    f"witness trace invalid at index {check.index}: {check.reason}"
-                )
-            states = possession_closure(arch, trace)
-            if not all(check_local(trace, g).compliant for g in gates):
+            checked = _concrete_check(arch, gates, abstract)
+            if checked is None:
                 raise ReconstructionFailure("witness trace breaks a local-send gate")
+            trace, states = checked
             if not check_positive(states, goal):
                 raise ReconstructionFailure("witness trace does not establish its goal")
             witnesses.append((goal, trace))

@@ -271,6 +271,31 @@ def _close_agent(
         owned[best[3]] = best[2]
 
 
+def seed_witnesses(arch: Architecture) -> dict[AgentId, dict[AtomicType, TermExpr]]:
+    """Each agent's canonical witness per type before any event: what its
+    held constructors alone can build."""
+    owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
+    for agent in arch.sorted_agents():
+        mine: dict[AtomicType, TermExpr] = {}
+        _close_agent(arch, agent, mine)
+        owned[agent] = mine
+    return owned
+
+
+def receive(
+    arch: Architecture, owned: dict[AgentId, dict[AtomicType, TermExpr]], e: Event
+) -> bool:
+    """Fold one delivery into `owned`: a receiver with no witness at the
+    event's type takes the delivered term and is re-closed. An existing
+    witness is never replaced. Returns whether the receiver gained a type."""
+    mine = owned[e.receiver]
+    if e.msg_type in mine:
+        return False
+    mine[e.msg_type] = e.term
+    _close_agent(arch, e.receiver, mine)
+    return True
+
+
 def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[KnowledgeState]:
     """One KnowledgeState per prefix (length of trace plus one).
 
@@ -283,21 +308,15 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
     verdict = check_trace_valid(arch, events)
     if not verdict.valid:
         raise InvalidTraceError(str(verdict))
-    owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
-    for agent in arch.sorted_agents():
-        mine: dict[AtomicType, TermExpr] = {}
-        _close_agent(arch, agent, mine)
-        owned[agent] = mine
+    owned = seed_witnesses(arch)
     possessed = {a: frozenset(m) for a, m in owned.items() if m}
     witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
     states = [KnowledgeState(possessed, witnesses)]
     for e in events:
-        mine = owned[e.receiver]
-        if e.msg_type in mine:
+        if not receive(arch, owned, e):
             states.append(states[-1])
             continue
-        mine[e.msg_type] = e.term
-        _close_agent(arch, e.receiver, mine)
+        mine = owned[e.receiver]
         # Earlier states keep their maps; only the receiver's entries change.
         possessed = dict(possessed)
         possessed[e.receiver] = frozenset(mine)

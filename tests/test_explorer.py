@@ -188,13 +188,19 @@ def test_degenerate_gate_rejected():
         explore(arch, [], depth=2, local_constraints=[LocalSend(q, A, r, r)])
 
 
-def test_gate_over_undeclared_agent_rejected():
+@pytest.mark.parametrize(
+    "constraints, gates",
+    [
+        ([], [LocalSend(AgentId("Ghost"), A, AgentId("R"), AgentId("P"))]),
+        ([], [LocalSend(AgentId("Q"), Base("Z"), AgentId("R"), AgentId("P"))]),
+        ([Positive(AgentId("R"), Base("Z"))], []),
+    ],
+    ids=["agent", "gate-type", "goal-type"],
+)
+def test_gate_over_undeclared_agent_rejected(constraints, gates):
     arch = gate_arch(forward_channel=False)
-    ghost = AgentId("Ghost")
     with pytest.raises(ExplorerError):
-        explore(
-            arch, [], depth=2, local_constraints=[LocalSend(ghost, A, AgentId("R"), AgentId("P"))]
-        )
+        explore(arch, constraints, depth=2, local_constraints=gates)
 
 
 def test_invalid_architecture_rejected():
