@@ -123,9 +123,7 @@ class _Encoding:
             for name in sorted(arch.holdings_of(a)):
                 args, target = signature_parts(arch.type_system.constructor(name))
                 arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
-                mask = 0
-                for idx in arg_idxs:
-                    mask |= 1 << idx
+                mask = sum(1 << idx for idx in arg_idxs)
                 rows.append((mask, self.type_idx[target], arg_idxs))
             self.ctors.append(rows)
 
@@ -433,9 +431,7 @@ def explore(
         holders = (
             [enc.agent_idx[c.holder]] if isinstance(c, NegPossess) else range(n_agents)
         )
-        required = 0
-        for h in holders:
-            required |= 1 << (h * width + enc.type_idx[c.required])
+        required = sum(1 << (h * width + enc.type_idx[c.required]) for h in holders)
         rows.append((trigger, required, ci))
 
     found: dict[int, tuple[Constraint, Trace]] = {}
