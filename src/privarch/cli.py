@@ -46,7 +46,13 @@ from .synthesis import (
 from .terms import CalculusError, term_to_str, type_name
 from .verifier import canonical_partition, verify_partition_v1, verify_partition_v2
 
+
+class InputError(Exception):
+    """An input file that cannot be read as text."""
+
+
 _ERRORS = (
+    InputError,
     DslError,
     SynthesisError,
     ArchitectureError,
@@ -59,8 +65,12 @@ _ERRORS = (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} {bad})") from None
 
 
 def _write(path: str, text: str) -> None:

@@ -18,14 +18,19 @@ Constraint forms mirror their printed shapes: `X ni A => B` (no creation),
 
 Parsing is two-pass: statements are tokenized and shaped first (ParseError),
 then names are resolved against the declarations (ResolveError). Both errors
-carry one-based line and column. `print_*` functions emit the canonical form:
-parse(print(doc)) is structurally equal to doc.
+carry one-based line and column. Tokens are plain strings from one regular
+expression pass and the parser keeps token indices; positions are found on
+the error path, by scanning the text again up to the offending token.
+`print_*` functions emit the canonical form: parse(print(doc)) is
+structurally equal to doc.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 from .architecture import (
     Architecture,
@@ -83,139 +88,129 @@ IDENT = "ident"
 NUMBER = "number"
 PUNCT = "punct"
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_PUNCT_TWO = ("->", "=>")
-_PUNCT_ONE = "[](),:;="
+_BLANKS = r"[ \t\r\n]+|#[^\n]*"
+# `I:` and `O:` fuse with the identifier after them into one agent name.
+_TOKEN = r"->|=>|[\[\](),:;=]|(?:[IO]:(?=[^\W\d]))?[^\W\d]\w*|\d+"
+# Skips blanks and comments, then takes one token or one stray character.
+# The token group is optional, so the blank loop never backtracks; the
+# pattern avoids possessive and atomic forms, which Python 3.10 lacks.
+_SCAN = re.compile(rf"(?:{_BLANKS})*({_TOKEN}|[^ \t\r\n])?")
+_PUNCT = frozenset(("->", "=>", *"[](),:;="))
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def _bad_offset(tok: str) -> int:
+    """Offset of the character in `tok` that starts no token, or -1."""
+    k = 2 if tok[:2] in ("I:", "O:") else 0
+    ch = tok[k]
+    return -1 if tok in _PUNCT or ch.isalpha() or ch == "_" or ch.isdecimal() else k
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i : i + 2] in _PUNCT_TWO:
-            tokens.append(Token(PUNCT, text[i : i + 2], line, col))
-            i, col = i + 2, col + 2
-            continue
-        if _is_ident_start(ch):
-            start = i
-            while i < n and _is_ident_char(text[i]):
-                i += 1
-            word = text[start:i]
-            # Reserved interface prefixes fuse into one identifier.
-            if word in ("I", "O") and i < n and text[i] == ":" and i + 1 < n and _is_ident_start(text[i + 1]):
-                i += 1
-                rest = i
-                while i < n and _is_ident_char(text[i]):
-                    i += 1
-                word = f"{word}:{text[rest:i]}"
-            tokens.append(Token(IDENT, word, line, col))
-            col += i - start
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(Token(NUMBER, text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(Token(PUNCT, ch, line, col))
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+def tokenize(text: str) -> list[str]:
+    """The token texts of `text`, in order. Raises ParseError at the first
+    character that starts no token."""
+    tokens = _SCAN.findall(text)
+    while tokens and not tokens[-1]:  # matches that only skip trailing blanks
+        tokens.pop()
+    # A stray character comes back as a token of its own, and `[^\W\d]`
+    # also admits numerals such as '²' that str.isalpha rejects. A document
+    # repeats a few dozen distinct tokens, so each is checked once.
+    bad = [tok for tok in set(tokens) if _bad_offset(tok) >= 0]
+    if bad:
+        i = min(map(tokens.index, bad))
+        k = _bad_offset(tokens[i])
+        raise ParseError(f"unexpected character {tokens[i][k]!r}", *_where(text, i, k))
     return tokens
 
 
-def _statements(tokens: Sequence[Token]) -> list[list[Token]]:
-    out: list[list[Token]] = []
-    current: list[Token] = []
-    for tok in tokens:
-        if tok.kind == PUNCT and tok.text == ";":
-            if not current:
-                raise ParseError("empty statement", tok.line, tok.col)
-            out.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        last = current[-1]
-        raise ParseError("statement is missing its terminating ';'", last.line, last.col)
-    return out
+def _where(text: str, i: int, offset: int = 0) -> tuple[int, int]:
+    """One-based line and column of token `i` of `text` (plus `offset`
+    characters), found by scanning the text again. Only errors ask."""
+    pos = next(islice(_SCAN.finditer(text), i, None)).start(1) + offset
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _kind(tok: str) -> str:
+    ch = tok[0]
+    if ch.isalpha() or ch == "_":
+        return IDENT
+    return NUMBER if ch.isdecimal() else PUNCT
 
 
 class _Stream:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = list(tokens)
-        self.pos = 0
+    """One statement: the window [pos, end) of its document's token list.
+    Parsers keep token indices and turn one into a position only to raise."""
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    __slots__ = ("text", "tokens", "pos", "end")
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def __init__(self, text: str, tokens: list[str], pos: int = 0, end: int | None = None):
+        self.text = text
+        self.tokens = tokens
+        self.pos = pos
+        self.end = len(tokens) if end is None else end
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < self.end else None
+
+    def error(self, cls: type[DslError], message: str, i: int) -> DslError:
+        return cls(message, *_where(self.text, i))
 
     def _fail(self, message: str) -> ParseError:
-        if self.tokens:
-            ref = self.tokens[min(self.pos, len(self.tokens) - 1)]
-            return ParseError(message, ref.line, ref.col)
-        return ParseError(message, 1, 1)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = "end of statement" if tok is None else repr(tok.text)
-            raise self._fail(f"expected {want!r}, got {got}" if text else f"expected {want}, got {got}")
-        self.pos += 1
-        return tok
+        got = "end of statement" if tok is None else repr(tok)
+        if self.end == 0:
+            return ParseError(f"{message}, got {got}", 1, 1)
+        return self.error(ParseError, f"{message}, got {got}", min(self.pos, self.end - 1))
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            return None
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> int:
+        """Consume the token `text` and return its index."""
+        i = self.pos
+        if i >= self.end or self.tokens[i] != text:
+            raise self._fail(f"expected {text!r}")
+        self.pos = i + 1
+        return i
+
+    def expect_kind(self, kind: str) -> int:
+        """Consume an IDENT or NUMBER token and return its index."""
+        i = self.pos
+        if i >= self.end or _kind(self.tokens[i]) != kind:
+            raise self._fail(f"expected {kind}")
+        self.pos = i + 1
+        return i
+
+    def accept(self, text: str) -> bool:
+        if self.pos < self.end and self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if self.pos < self.end:
+            raise self.error(ParseError, f"unexpected trailing {self.tokens[self.pos]!r}", self.pos)
+
+
+def _statements(text: str, tokens: list[str]) -> list[_Stream]:
+    """Every `;`-terminated statement, all found before any is parsed."""
+    out: list[_Stream] = []
+    start, n = 0, len(tokens)
+    while start < n:
+        try:
+            end = tokens.index(";", start)
+        except ValueError:
+            raise ParseError(
+                "statement is missing its terminating ';'", *_where(text, n - 1)
+            ) from None
+        if end == start:
+            raise ParseError("empty statement", *_where(text, end))
+        out.append(_Stream(text, tokens, start, end))
+        start = end + 1
+    return out
 
 
 # --- shared grammar pieces ---------------------------------------------------
 
 
-def _agent_id(tok: Token) -> AgentId:
-    name = tok.text
+def _agent_id(ts: _Stream, i: int) -> AgentId:
+    name = ts.tokens[i]
     try:
         if name.startswith("I:"):
             return AgentId(name, INTERFACE, name[2:])
@@ -223,53 +218,52 @@ def _agent_id(tok: Token) -> AgentId:
             return AgentId(name, OUTPUT, name[2:])
         return AgentId(name)
     except ArchitectureError as exc:
-        raise ResolveError(str(exc), tok.line, tok.col) from exc
+        raise ts.error(ResolveError, str(exc), i) from exc
 
 
-def _parse_type(ts: _Stream) -> tuple[AtomicType, Token]:
-    head = ts.expect(IDENT)
-    nxt = ts.peek()
-    if head.text in ("C", "P") and nxt is not None and nxt.text == "[":
-        ts.expect(PUNCT, "[")
-        owner = ts.expect(IDENT)
-        ts.expect(PUNCT, "]")
-        ts.expect(PUNCT, "(")
-        inner = ts.expect(IDENT)
-        ts.expect(PUNCT, ")")
-        wrapper = Certified if head.text == "C" else Proof
-        return wrapper(owner.text, inner.text), head
-    return Base(head.text), head
+def _parse_type(ts: _Stream) -> tuple[AtomicType, int]:
+    tokens = ts.tokens
+    head = ts.expect_kind(IDENT)
+    name = tokens[head]
+    if name in ("C", "P") and ts.peek() == "[":
+        ts.expect("[")
+        owner = tokens[ts.expect_kind(IDENT)]
+        ts.expect("]")
+        ts.expect("(")
+        inner = tokens[ts.expect_kind(IDENT)]
+        ts.expect(")")
+        wrapper = Certified if name == "C" else Proof
+        return wrapper(owner, inner), head
+    return Base(name), head
 
 
-def _parse_ctor_name(ts: _Stream) -> tuple[str, Token]:
-    head = ts.expect(IDENT)
-    name = head.text
-    while True:
-        nxt = ts.peek()
-        if nxt is None or nxt.text != "[":
-            return name, head
-        ts.expect(PUNCT, "[")
-        parts = [ts.expect(IDENT).text]
-        while ts.accept(PUNCT, ","):
-            parts.append(ts.expect(IDENT).text)
-        ts.expect(PUNCT, "]")
+def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
+    tokens = ts.tokens
+    head = ts.expect_kind(IDENT)
+    name = tokens[head]
+    while ts.accept("["):
+        parts = [tokens[ts.expect_kind(IDENT)]]
+        while ts.accept(","):
+            parts.append(tokens[ts.expect_kind(IDENT)])
+        ts.expect("]")
         name += "[" + ",".join(parts) + "]"
+    return name, head
 
 
 def _parse_term(ts: _Stream) -> TermExpr:
     name, _ = _parse_ctor_name(ts)
-    if ts.accept(PUNCT, "(") is None:
+    if not ts.accept("("):
         return apply(name, [])
     args = [_parse_term(ts)]
-    while ts.accept(PUNCT, ","):
+    while ts.accept(","):
         args.append(_parse_term(ts))
-    ts.expect(PUNCT, ")")
+    ts.expect(")")
     return apply(name, args)
 
 
 def parse_term(text: str) -> TermExpr:
     """Parse one prefix-notation term, e.g. `pi[X,A](m[X,A](payload))`."""
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text, tokenize(text))
     term = _parse_term(ts)
     ts.done()
     return term
@@ -277,7 +271,7 @@ def parse_term(text: str) -> TermExpr:
 
 def parse_type(text: str) -> AtomicType:
     """Parse one atomic type, e.g. `INFO` or `C[Website](INFO)`."""
-    ts = _Stream(tokenize(text))
+    ts = _Stream(text, tokenize(text))
     ty, _ = _parse_type(ts)
     ts.done()
     return ty
@@ -320,199 +314,194 @@ class SpecDocument:
 
 
 def parse_spec(text: str) -> SpecDocument:
-    declared_types: dict[AtomicType, Token] = {}
+    tokens = tokenize(text)
+    declared_types: dict[AtomicType, int] = {}
     agents: dict[str, AgentId] = {}
-    agent_tokens: dict[str, Token] = {}
     holdings: dict[AgentId, set[str]] = {}
-    ctor_sigs: dict[str, tuple[TypeExpr, Token]] = {}
+    ctor_sigs: dict[str, tuple[TypeExpr, int]] = {}
     channel_types: dict[tuple[AgentId, AgentId], set[AtomicType]] = {}
-    raw_channels: list[tuple[Token, Token, list[tuple[AtomicType, Token]]]] = []
+    raw_channels: list[tuple[int, int, list[tuple[AtomicType, int]]]] = []
     raw_constraints: list[_Stream] = []
-    raw_holds: list[tuple[Token, list[tuple[str, Token, list[tuple[AtomicType, Token]]]]]] = []
-    options: dict[str, tuple[int, Token]] = {}
+    raw_holds: list[tuple[str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
+    options: dict[str, tuple[int, int]] = {}
 
-    for stmt in _statements(tokenize(text)):
-        ts = _Stream(stmt)
-        head = ts.expect(IDENT)
-        if head.text == "types":
+    for ts in _statements(text, tokens):
+        head = ts.expect_kind(IDENT)
+        keyword = tokens[head]
+        if keyword == "types":
             while True:
-                ty, tok = _parse_type(ts)
+                ty, i = _parse_type(ts)
                 if ty in declared_types:
-                    raise ResolveError(f"duplicate type {type_name(ty)}", tok.line, tok.col)
-                declared_types[ty] = tok
-                if not ts.accept(PUNCT, ","):
+                    raise ts.error(ResolveError, f"duplicate type {type_name(ty)}", i)
+                declared_types[ty] = i
+                if not ts.accept(","):
                     break
             ts.done()
-        elif head.text == "agent":
-            name_tok = ts.expect(IDENT)
-            if name_tok.text in agents:
-                raise ResolveError(f"duplicate agent {name_tok.text}", name_tok.line, name_tok.col)
-            agents[name_tok.text] = _agent_id(name_tok)
-            agent_tokens[name_tok.text] = name_tok
-            entries: list[tuple[str, Token, list[tuple[AtomicType, Token]]]] = []
-            if ts.accept(IDENT, "holds"):
+        elif keyword == "agent":
+            name_i = ts.expect_kind(IDENT)
+            name = tokens[name_i]
+            if name in agents:
+                raise ts.error(ResolveError, f"duplicate agent {name}", name_i)
+            agents[name] = _agent_id(ts, name_i)
+            entries: list[tuple[str, int, list[tuple[AtomicType, int]]]] = []
+            if ts.accept("holds"):
                 while True:
-                    ctor, ctor_tok = _parse_ctor_name(ts)
-                    ts.expect(PUNCT, ":")
+                    ctor, ctor_i = _parse_ctor_name(ts)
+                    ts.expect(":")
                     parts = [_parse_type(ts)]
-                    while ts.accept(PUNCT, "->"):
+                    while ts.accept("->"):
                         parts.append(_parse_type(ts))
-                    entries.append((ctor, ctor_tok, parts))
-                    if not ts.accept(PUNCT, ","):
+                    entries.append((ctor, ctor_i, parts))
+                    if not ts.accept(","):
                         break
             ts.done()
-            raw_holds.append((name_tok, entries))
-        elif head.text == "channel":
-            sender = ts.expect(IDENT)
-            ts.expect(PUNCT, "->")
-            receiver = ts.expect(IDENT)
-            ts.expect(PUNCT, ":")
+            raw_holds.append((name, entries))
+        elif keyword == "channel":
+            sender = ts.expect_kind(IDENT)
+            ts.expect("->")
+            receiver = ts.expect_kind(IDENT)
+            ts.expect(":")
             entries = [_parse_type(ts)]
-            while ts.accept(PUNCT, ","):
+            while ts.accept(","):
                 entries.append(_parse_type(ts))
             ts.done()
             raw_channels.append((sender, receiver, entries))
-        elif head.text == "constraint":
+        elif keyword == "constraint":
             raw_constraints.append(ts)
-        elif head.text == "option":
-            name_tok = ts.expect(IDENT)
-            ts.expect(PUNCT, "=")
-            value_tok = ts.expect(NUMBER)
+        elif keyword == "option":
+            name_i = ts.expect_kind(IDENT)
+            ts.expect("=")
+            value_i = ts.expect_kind(NUMBER)
             ts.done()
-            if name_tok.text in options:
-                raise ResolveError(f"duplicate option {name_tok.text}", name_tok.line, name_tok.col)
+            name, digits = tokens[name_i], tokens[value_i]
+            if name in options:
+                raise ts.error(ResolveError, f"duplicate option {name}", name_i)
             try:
-                value = int(value_tok.text)
+                value = int(digits)
             except ValueError:  # past the interpreter's digit limit
-                raise ParseError(
-                    f"number too long ({len(value_tok.text)} digits)", value_tok.line, value_tok.col
-                ) from None
-            options[name_tok.text] = (value, name_tok)
+                raise ts.error(ParseError, f"number too long ({len(digits)} digits)", value_i) from None
+            options[name] = (value, name_i)
         else:
-            raise ParseError(
-                f"unknown statement {head.text!r} (expected types, agent, "
+            raise ts.error(
+                ParseError,
+                f"unknown statement {keyword!r} (expected types, agent, "
                 "channel, constraint or option)",
-                head.line,
-                head.col,
+                head,
             )
 
-    def require_type(ty: AtomicType, tok: Token) -> AtomicType:
+    def require_type(ty: AtomicType, i: int) -> AtomicType:
         if ty not in declared_types:
-            raise ResolveError(f"undeclared type {type_name(ty)}", tok.line, tok.col)
+            raise ResolveError(f"undeclared type {type_name(ty)}", *_where(text, i))
         return ty
 
-    def require_agent(tok: Token) -> AgentId:
-        agent = agents.get(tok.text)
+    def require_agent(i: int) -> AgentId:
+        agent = agents.get(tokens[i])
         if agent is None:
-            raise ResolveError(f"undeclared agent {tok.text}", tok.line, tok.col)
+            raise ResolveError(f"undeclared agent {tokens[i]}", *_where(text, i))
         return agent
 
     # Constructors: every declaration site must agree on the signature.
-    for name_tok, entries in raw_holds:
-        agent = agents[name_tok.text]
+    for name, entries in raw_holds:
+        agent = agents[name]
         mine = holdings.setdefault(agent, set())
-        for ctor, ctor_tok, parts in entries:
-            for ty, tok in parts:
-                require_type(ty, tok)
+        for ctor, ctor_i, parts in entries:
+            for ty, i in parts:
+                require_type(ty, i)
             sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
             known = ctor_sigs.get(ctor)
             if known is not None and known[0] != sig:
+                first_line, _ = _where(text, known[1])
                 raise ResolveError(
                     f"constructor {ctor} redeclared with a different signature "
-                    f"(first declared at line {known[1].line})",
-                    ctor_tok.line,
-                    ctor_tok.col,
+                    f"(first declared at line {first_line})",
+                    *_where(text, ctor_i),
                 )
             if known is None:
-                ctor_sigs[ctor] = (sig, ctor_tok)
+                ctor_sigs[ctor] = (sig, ctor_i)
             if ctor in mine:
                 raise ResolveError(
-                    f"agent {agent.name} lists constructor {ctor} twice",
-                    ctor_tok.line,
-                    ctor_tok.col,
+                    f"agent {agent.name} lists constructor {ctor} twice", *_where(text, ctor_i)
                 )
             mine.add(ctor)
 
-    for sender_tok, receiver_tok, entries in raw_channels:
-        sender = require_agent(sender_tok)
-        receiver = require_agent(receiver_tok)
+    for sender_i, receiver_i, entries in raw_channels:
+        sender = require_agent(sender_i)
+        receiver = require_agent(receiver_i)
         if sender == receiver:
-            raise ResolveError(
-                f"channel from {sender.name} to itself", sender_tok.line, sender_tok.col
-            )
+            raise ResolveError(f"channel from {sender.name} to itself", *_where(text, sender_i))
         bucket = channel_types.setdefault((sender, receiver), set())
-        for ty, tok in entries:
-            bucket.add(require_type(ty, tok))
+        for ty, i in entries:
+            bucket.add(require_type(ty, i))
 
     constraints: list[Constraint] = []
     for ts in raw_constraints:
-        first = ts.peek()
+        first = ts.pos
         try:
-            if first is not None and first.text == "pos":
-                ts.expect(IDENT, "pos")
-                ts.expect(PUNCT, "(")
-                subject = require_agent(ts.expect(IDENT))
-                ts.expect(PUNCT, ",")
-                ty, tok = _parse_type(ts)
-                ts.expect(PUNCT, ")")
+            if ts.peek() == "pos":
+                ts.expect("pos")
+                ts.expect("(")
+                subject = require_agent(ts.expect_kind(IDENT))
+                ts.expect(",")
+                ty, i = _parse_type(ts)
+                ts.expect(")")
                 ts.done()
-                constraints.append(Positive(subject, require_type(ty, tok)))
-            elif first is not None and first.text == "local":
-                ts.expect(IDENT, "local")
-                sender = require_agent(ts.expect(IDENT))
-                ts.expect(PUNCT, "->")
-                receiver = require_agent(ts.expect(IDENT))
-                ts.expect(PUNCT, ":")
-                ty, tok = _parse_type(ts)
-                ts.expect(IDENT, "prev")
-                prev = require_agent(ts.expect(IDENT))
+                constraints.append(Positive(subject, require_type(ty, i)))
+            elif ts.peek() == "local":
+                ts.expect("local")
+                sender = require_agent(ts.expect_kind(IDENT))
+                ts.expect("->")
+                receiver = require_agent(ts.expect_kind(IDENT))
+                ts.expect(":")
+                ty, i = _parse_type(ts)
+                ts.expect("prev")
+                prev = require_agent(ts.expect_kind(IDENT))
                 ts.done()
-                constraints.append(LocalSend(sender, require_type(ty, tok), receiver, prev))
+                constraints.append(LocalSend(sender, require_type(ty, i), receiver, prev))
             else:
-                subject = require_agent(ts.expect(IDENT))
-                ts.expect(IDENT, "ni")
-                trig, trig_tok = _parse_type(ts)
-                ts.expect(PUNCT, "=>")
+                subject = require_agent(ts.expect_kind(IDENT))
+                ts.expect("ni")
+                trig, trig_i = _parse_type(ts)
+                ts.expect("=>")
                 mark = ts.pos
-                holder_tok = ts.expect(IDENT)
-                if ts.accept(IDENT, "ni"):
-                    holder = require_agent(holder_tok)
-                    req, req_tok = _parse_type(ts)
+                holder_i = ts.expect_kind(IDENT)
+                if ts.accept("ni"):
+                    holder = require_agent(holder_i)
+                    req, req_i = _parse_type(ts)
                     ts.done()
                     constraints.append(
                         NegPossess(
                             subject,
-                            require_type(trig, trig_tok),
+                            require_type(trig, trig_i),
                             holder,
-                            require_type(req, req_tok),
+                            require_type(req, req_i),
                         )
                     )
                 else:
                     ts.pos = mark
-                    req, req_tok = _parse_type(ts)
+                    req, req_i = _parse_type(ts)
                     ts.done()
                     constraints.append(
                         NegCreate(
                             subject,
-                            require_type(trig, trig_tok),
-                            require_type(req, req_tok),
+                            require_type(trig, trig_i),
+                            require_type(req, req_i),
                         )
                     )
         except ConstraintError as exc:
-            raise ResolveError(str(exc), first.line, first.col) from exc
+            raise ts.error(ResolveError, str(exc), first) from exc
 
     config = SynthesisConfig()
-    for name, (value, tok) in options.items():
+    for name, (value, i) in options.items():
         if name == "algorithm":
             if value not in (1, 2):
-                raise ResolveError("algorithm must be 1 or 2", tok.line, tok.col)
+                raise ResolveError("algorithm must be 1 or 2", *_where(text, i))
             config = replace(config, algorithm=value)
         elif name == "m_family_cap":
             if value < 1:
-                raise ResolveError("m_family_cap must be positive", tok.line, tok.col)
+                raise ResolveError("m_family_cap must be positive", *_where(text, i))
             config = replace(config, m_family_cap=value)
         else:
-            raise ResolveError(f"unknown option {name}", tok.line, tok.col)
+            raise ResolveError(f"unknown option {name}", *_where(text, i))
 
     type_system = TypeSystem.build(declared_types, (
         ConstructorDecl(name, sig) for name, (sig, _) in ctor_sigs.items()
@@ -577,29 +566,29 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     """Each statement is `Sender -> Receiver : term : TYPE;`. Agents must
     exist in the architecture; terms are resolved structurally and validated
     later by the trace checker."""
+    tokens = tokenize(text)
     events: list[Event] = []
-    for stmt in _statements(tokenize(text)):
-        ts = _Stream(stmt)
-        sender_tok = ts.expect(IDENT)
-        ts.expect(PUNCT, "->")
-        receiver_tok = ts.expect(IDENT)
-        ts.expect(PUNCT, ":")
+    for ts in _statements(text, tokens):
+        sender_i = ts.expect_kind(IDENT)
+        ts.expect("->")
+        receiver_i = ts.expect_kind(IDENT)
+        ts.expect(":")
         term = _parse_term(ts)
-        ts.expect(PUNCT, ":")
-        ty, ty_tok = _parse_type(ts)
+        ts.expect(":")
+        ty, _ = _parse_type(ts)
         ts.done()
         try:
-            sender = arch.agent_named(sender_tok.text)
+            sender = arch.agent_named(tokens[sender_i])
         except ArchitectureError as exc:
-            raise ResolveError(str(exc), sender_tok.line, sender_tok.col) from exc
+            raise ts.error(ResolveError, str(exc), sender_i) from exc
         try:
-            receiver = arch.agent_named(receiver_tok.text)
+            receiver = arch.agent_named(tokens[receiver_i])
         except ArchitectureError as exc:
-            raise ResolveError(str(exc), receiver_tok.line, receiver_tok.col) from exc
+            raise ts.error(ResolveError, str(exc), receiver_i) from exc
         try:
             events.append(Event(sender, term, ty, receiver))
         except TraceError as exc:
-            raise ResolveError(str(exc), sender_tok.line, sender_tok.col) from exc
+            raise ts.error(ResolveError, str(exc), sender_i) from exc
     return tuple(events)
 
 
@@ -614,28 +603,28 @@ def print_trace(trace: Trace) -> str:
 
 def parse_partition(text: str, arch: Architecture) -> Partition:
     """Each statement is `cell Owner: member, member;`."""
+    tokens = tokenize(text)
     owner_map: dict[AgentId, AgentId] = {}
-    for stmt in _statements(tokenize(text)):
-        ts = _Stream(stmt)
-        ts.expect(IDENT, "cell")
-        owner_tok = ts.expect(IDENT)
-        ts.expect(PUNCT, ":")
-        member_toks = [ts.expect(IDENT)]
-        while ts.accept(PUNCT, ","):
-            member_toks.append(ts.expect(IDENT))
+    for ts in _statements(text, tokens):
+        ts.expect("cell")
+        owner_i = ts.expect_kind(IDENT)
+        ts.expect(":")
+        member_is = [ts.expect_kind(IDENT)]
+        while ts.accept(","):
+            member_is.append(ts.expect_kind(IDENT))
         ts.done()
         try:
-            owner = arch.agent_named(owner_tok.text)
+            owner = arch.agent_named(tokens[owner_i])
         except ArchitectureError as exc:
-            raise ResolveError(str(exc), owner_tok.line, owner_tok.col) from exc
-        for tok in member_toks:
+            raise ts.error(ResolveError, str(exc), owner_i) from exc
+        for i in member_is:
             try:
-                member = arch.agent_named(tok.text)
+                member = arch.agent_named(tokens[i])
             except ArchitectureError as exc:
-                raise ResolveError(str(exc), tok.line, tok.col) from exc
+                raise ts.error(ResolveError, str(exc), i) from exc
             if member in owner_map:
-                raise ResolveError(
-                    f"agent {member.name} appears in more than one cell", tok.line, tok.col
+                raise ts.error(
+                    ResolveError, f"agent {member.name} appears in more than one cell", i
                 )
             owner_map[member] = owner
     return Partition(owner_map)
@@ -657,26 +646,26 @@ def print_partition(partition: Partition) -> str:
 
 def parse_grants(text: str, arch: Architecture) -> tuple[Grant, ...]:
     """Each statement is `grant I:Owner -> O:Owner : TYPE;`."""
+    tokens = tokenize(text)
     grants: list[Grant] = []
-    for stmt in _statements(tokenize(text)):
-        ts = _Stream(stmt)
-        ts.expect(IDENT, "grant")
-        input_tok = ts.expect(IDENT)
-        ts.expect(PUNCT, "->")
-        output_tok = ts.expect(IDENT)
-        ts.expect(PUNCT, ":")
-        ty, ty_tok = _parse_type(ts)
+    for ts in _statements(text, tokens):
+        ts.expect("grant")
+        input_i = ts.expect_kind(IDENT)
+        ts.expect("->")
+        output_i = ts.expect_kind(IDENT)
+        ts.expect(":")
+        ty, ty_i = _parse_type(ts)
         ts.done()
         try:
-            input_agent = arch.agent_named(input_tok.text)
+            input_agent = arch.agent_named(tokens[input_i])
         except ArchitectureError as exc:
-            raise ResolveError(str(exc), input_tok.line, input_tok.col) from exc
+            raise ts.error(ResolveError, str(exc), input_i) from exc
         try:
-            output_agent = arch.agent_named(output_tok.text)
+            output_agent = arch.agent_named(tokens[output_i])
         except ArchitectureError as exc:
-            raise ResolveError(str(exc), output_tok.line, output_tok.col) from exc
+            raise ts.error(ResolveError, str(exc), output_i) from exc
         if ty not in arch.type_system.atomic_types:
-            raise ResolveError(f"undeclared type {type_name(ty)}", ty_tok.line, ty_tok.col)
+            raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", ty_i)
         grants.append(Grant(input_agent, ty, output_agent))
     return tuple(dict.fromkeys(grants))
 

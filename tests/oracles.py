@@ -11,12 +11,16 @@ The derivability reference decides each judgement by scanning the trace
 backwards from the prefix, the direct reading of the derivation rules. It
 costs O(L) per lookup and recurses once per delivery, so it serves only as
 the reference the package's delivery-index semantics is compared against.
-The property-test harnesses for weakening and arrow possession close the
-module.
+
+The tokenizer reference walks the text one character at a time and tracks
+line and column as it goes; the package tokenizes with one regular
+expression and finds positions only when it raises. The property-test
+harnesses for weakening and arrow possession close the module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from privarch import (
@@ -31,6 +35,7 @@ from privarch import (
     EventTypeError,
     InvalidTraceError,
     NotDerivable,
+    ParseError,
     TermExpr,
     TraceCheck,
     TypeExpr,
@@ -235,6 +240,88 @@ def reference_decompose(
 
     computer, chain = locate(len(events), agent)
     return Decomposition(computer, head, args, tuple(chain))
+
+
+# ---------------------------------------------------------------------------
+# tokenizer reference: one character at a time
+
+
+IDENT = "ident"
+NUMBER = "number"
+PUNCT = "punct"
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT_TWO = ("->", "=>")
+_PUNCT_ONE = "[](),:;="
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The character-by-character tokenizer `privarch.dsl.tokenize` must
+    agree with: the same token texts, or the same error at the same line
+    and column."""
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text[i : i + 2] in _PUNCT_TWO:
+            tokens.append(Token(PUNCT, text[i : i + 2], line, col))
+            i, col = i + 2, col + 2
+            continue
+        if _is_ident_start(ch):
+            start = i
+            while i < n and _is_ident_char(text[i]):
+                i += 1
+            word = text[start:i]
+            # Reserved interface prefixes fuse into one identifier.
+            if word in ("I", "O") and i < n and text[i] == ":" and i + 1 < n and _is_ident_start(text[i + 1]):
+                i += 1
+                rest = i
+                while i < n and _is_ident_char(text[i]):
+                    i += 1
+                word = f"{word}:{text[rest:i]}"
+            tokens.append(Token(IDENT, word, line, col))
+            col += i - start
+            continue
+        if ch.isdecimal():
+            start = i
+            while i < n and text[i].isdecimal():
+                i += 1
+            tokens.append(Token(NUMBER, text[start:i], line, col))
+            col += i - start
+            continue
+        if ch in _PUNCT_ONE:
+            tokens.append(Token(PUNCT, ch, line, col))
+            i, col = i + 1, col + 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,26 @@ def test_malformed_spec_is_a_clean_error(capsys, tmp_path):
     assert "error: line 1" in err
 
 
+@pytest.mark.parametrize(
+    "which, junk, reason",
+    [
+        ("spec", b"\xff", "invalid start byte 0xff"),
+        ("trace", b"# caf\xe9\n", "invalid continuation byte 0xe9"),
+    ],
+)
+def test_non_utf8_input_is_a_clean_error(capsys, tmp_path, which, junk, reason):
+    spec = tmp_path / "spec.parch"
+    trace = tmp_path / "run.trace"
+    spec.write_text(read_fixture("coppa.parch"))
+    trace.write_text("Child -> Website : info : INFO;\n")
+    bad = spec if which == "spec" else trace
+    bad.write_bytes(bad.read_bytes() + junk)
+    code, out, err = run(capsys, "check", str(spec), str(trace))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text ({reason})\n"
+
+
 def test_unknown_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

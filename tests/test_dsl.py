@@ -30,9 +30,11 @@ from privarch import (
     print_trace,
     term_to_str,
 )
+from privarch import dsl
 
 from conftest import read_fixture
 from generators import mk_document
+from oracles import reference_tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,97 @@ def test_algorithm_option_range_checked():
     assert "must be 1 or 2" in str(e)
 
 
+# Columns count every character since the last newline, tabs and carriage
+# returns included; comments end at the newline.
+@pytest.mark.parametrize(
+    "kind, text, line, col, message",
+    [
+        (
+            ResolveError,
+            "# header\ntypes A;\n# agents\n\tagent X holds a: A;\n\tagent Y holds b:\tB;",
+            5, 19, "undeclared type B",
+        ),
+        (
+            ResolveError,
+            "types A;\r\nagent X;\r\nagent Y;\r\nchannel X\r->\rZ : A;",
+            4, 14, "undeclared agent Z",
+        ),
+        (
+            ResolveError,
+            "types A;\nagent X holds a: A;\nagent I:X;\nagent O:X;\n"
+            "channel I:X -> O:X : A;\nchannel O:X -> I:Y : A;",
+            6, 16, "undeclared agent I:Y",
+        ),
+        (ParseError, "types A;\n\nagent I:X$;", 3, 10, "unexpected character '$'"),
+        (ParseError, "types A;\n\nagent I:²;", 3, 9, "unexpected character '²'"),
+        (
+            ResolveError,
+            "types A, B;\n# c is first declared here\nagent X holds c: A;\n\n"
+            "agent Y holds d: A, c: B;",
+            5, 21,
+            "constructor c redeclared with a different signature (first declared at line 3)",
+        ),
+        (
+            ResolveError,
+            "types A;\nagent X holds a: A;\n\n  constraint\tX ni A => X ni A;",
+            4, 14, "trivial constraint: X ni A => X ni A",
+        ),
+        (ParseError, "types A;\n# c\n\nagent X holds a A;", 4, 17, "expected ':', got 'A'"),
+        (
+            ParseError,
+            "types A;\nagent X\n# trailing comment\n",
+            2, 7, "statement is missing its terminating ';'",
+        ),
+    ],
+)
+def test_spec_error_positions(kind, text, line, col, message):
+    e = err(kind, text)
+    assert (e.line, e.col) == (line, col)
+    assert str(e) == f"line {line}, col {col}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# tokenizer against the character-by-character reference
+
+
+def tokenize_outcome(tokenize, text):
+    try:
+        return [getattr(t, "text", t) for t in tokenize(text)]
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+
+
+# Interface prefixes, two-character punctuation, comments, every blank the
+# format knows and some it does not ('\f'), and numerals that str.isalnum
+# accepts but str.isalpha or str.isdecimal reject.
+EDGE_ALPHABET = [
+    "I:", "O:", "I", "O", "a", "Zz", "_", "0", "19", ":", "-", ">", "->", "=>", "=",
+    "[", "]", "(", ")", ",", ";", "#", " ", "\t", "\r", "\n", "\r\n", "\f", "$",
+    "é", "²", "½", "Ⅻ", "٣", "〇",
+]
+
+
+def test_tokenize_matches_reference_on_random_texts():
+    rng = random.Random(0x70C)
+    for _ in range(5000):
+        text = "".join(rng.choice(EDGE_ALPHABET) for _ in range(rng.randrange(12)))
+        expected = tokenize_outcome(reference_tokenize, text)
+        assert tokenize_outcome(dsl.tokenize, text) == expected, text
+        if isinstance(expected, list):
+            # Token positions are found again only on the error path.
+            assert [dsl._where(text, i) for i in range(len(expected))] == [
+                (t.line, t.col) for t in reference_tokenize(text)
+            ], text
+
+
+def test_tokenize_matches_reference_on_every_code_point():
+    for cp in range(0x3000):
+        ch = chr(cp)
+        for text in (ch, "I:" + ch, "a" + ch, ch + "a", "1" + ch):
+            expected = tokenize_outcome(reference_tokenize, text)
+            assert tokenize_outcome(dsl.tokenize, text) == expected, text
+
+
 # ---------------------------------------------------------------------------
 # terms and types
 
@@ -287,3 +380,40 @@ def test_grant_undeclared_type_rejected(safe_v2):
 def test_grant_unknown_agent_rejected(coppa_doc):
     with pytest.raises(ResolveError, match="I:Parent"):
         parse_grants("grant I:Parent -> O:Parent : POLICY;", coppa_doc.architecture)
+
+
+# ---------------------------------------------------------------------------
+# error positions in traces, partitions and grants
+
+
+@pytest.mark.parametrize(
+    "parse, kind, text, line, col, message",
+    [
+        (
+            parse_trace, ParseError,
+            "Child -> O:Child : info : INFO;\r\n# second\r\n"
+            "Parent -> O:Parent : consent : CONSENT extra;",
+            3, 40, "unexpected trailing 'extra'",
+        ),
+        (
+            parse_trace, ResolveError,
+            "Child -> O:Child : info : INFO;\nO:Child -> I:Ghost : info : INFO;",
+            2, 12, "I:Ghost",
+        ),
+        (
+            parse_partition, ResolveError,
+            "cell Child: Child;\ncell Parent: Parent,\n  Child;",
+            3, 3, "agent Child appears in more than one cell",
+        ),
+        (
+            parse_grants, ResolveError,
+            "grant I:Parent -> O:Parent : POLICY;\n\tgrant I:Parent -> O:Parent : SECRET;",
+            2, 31, "undeclared type SECRET",
+        ),
+    ],
+)
+def test_document_error_positions(coppa_relaxed_doc, parse, kind, text, line, col, message):
+    with pytest.raises(kind) as info:
+        parse(text, coppa_relaxed_doc.architecture)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
