@@ -8,7 +8,7 @@ prefixes "I:" and "O:" which cannot collide with user agent names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .terms import (
@@ -102,6 +102,12 @@ class Architecture:
     agents: frozenset[AgentId]
     holdings: Mapping[AgentId, frozenset[str]]
     channels: Mapping[tuple[AgentId, AgentId], frozenset[AtomicType]]
+    _by_name: Mapping[str, AgentId] = field(
+        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_name", {a.name: a for a in self.agents})
 
     @staticmethod
     def build(
@@ -123,10 +129,10 @@ class Architecture:
         return self.channels.get((sender, receiver), frozenset())
 
     def agent_named(self, name: str) -> AgentId:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise UnknownAgent(name)
+        agent = self._by_name.get(name)
+        if agent is None:
+            raise UnknownAgent(name)
+        return agent
 
     def sorted_agents(self) -> list[AgentId]:
         return sorted(self.agents, key=lambda a: a.sort_key)
@@ -156,22 +162,32 @@ def validate_architecture(arch: Architecture) -> VerdictReport:
         violations.append(
             Violation("agents", tuple(dupes), f"duplicate agent names: {', '.join(dupes)}")
         )
+    # Only what fails is sorted; a clean architecture sorts nothing.
     for agent, held in sorted(arch.holdings.items(), key=lambda kv: kv[0].sort_key):
         if agent not in arch.agents:
             violations.append(
                 Violation("holdings", (agent.name,), f"holdings for undeclared agent {agent.name}")
             )
-        for name in sorted(held):
-            if not ts.has_constructor(name):
-                violations.append(
-                    Violation(
-                        "holdings",
-                        (agent.name, name),
-                        f"{agent.name} holds undeclared constructor {name}",
-                    )
+        for name in sorted(n for n in held if not ts.has_constructor(n)):
+            violations.append(
+                Violation(
+                    "holdings",
+                    (agent.name, name),
+                    f"{agent.name} holds undeclared constructor {name}",
                 )
-    for (sender, receiver), types in sorted(
-        arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
+            )
+    # One set difference per distinct type-set object: a parsed architecture
+    # shares one frozenset among the channels that name the same list.
+    undeclared: dict[int, frozenset] = {}
+    failing = []
+    for (sender, receiver), types in arch.channels.items():
+        bad = undeclared.get(id(types))
+        if bad is None:
+            bad = undeclared[id(types)] = types - ts.atomic_types
+        if bad or sender == receiver or sender not in arch.agents or receiver not in arch.agents:
+            failing.append((sender, receiver, bad))
+    for sender, receiver, bad in sorted(
+        failing, key=lambda f: (f[0].sort_key, f[1].sort_key)
     ):
         where = (sender.name, receiver.name)
         if sender == receiver:
@@ -183,25 +199,16 @@ def validate_architecture(arch: Architecture) -> VerdictReport:
                 violations.append(
                     Violation("channels", where, f"channel endpoint {end.name} is undeclared")
                 )
-        for t in sorted(types, key=_channel_type_key):
-            if not is_atomic(t):
-                violations.append(
-                    Violation(
-                        "channels",
-                        where,
-                        f"channel {sender.name} -> {receiver.name} carries non-atomic type "
-                        f"{type_name(t)}",
-                    )
+        for t in sorted(bad, key=_channel_type_key):
+            kind = "undeclared" if is_atomic(t) else "non-atomic"
+            violations.append(
+                Violation(
+                    "channels",
+                    where,
+                    f"channel {sender.name} -> {receiver.name} carries {kind} type "
+                    f"{type_name(t)}",
                 )
-            elif t not in ts.atomic_types:
-                violations.append(
-                    Violation(
-                        "channels",
-                        where,
-                        f"channel {sender.name} -> {receiver.name} carries undeclared type "
-                        f"{type_name(t)}",
-                    )
-                )
+            )
     return report(violations)
 
 

@@ -9,7 +9,7 @@ canonical agent and type orders.
 from __future__ import annotations
 
 from .architecture import Architecture, ORIGINAL
-from .terms import type_name, type_sort_key
+from .terms import TypeSetText
 from .verifier import Partition
 
 
@@ -46,13 +46,14 @@ def export_dot(arch: Architecture, partition: Partition | None = None) -> str:
             lines.append("  }")
         lines.extend(_node_line(a) for a in loose)
 
+    labels = TypeSetText(
+        arch.type_system.atomic_types, lambda names: [f" [label={_quote(n)}];" for n in names]
+    )
     for (s, r), types in sorted(
         arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
     ):
-        for t in sorted(types, key=type_sort_key):
-            lines.append(
-                f"  {_quote(s.name)} -> {_quote(r.name)} [label={_quote(type_name(t))}];"
-            )
+        edge = f"  {_quote(s.name)} -> {_quote(r.name)}"
+        lines.extend(edge + label for label in labels(types))
 
     lines.append("}")
     return "\n".join(lines) + "\n"

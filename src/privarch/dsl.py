@@ -21,6 +21,9 @@ then names are resolved against the declarations (ResolveError). Both errors
 carry one-based line and column. Tokens are plain strings from one regular
 expression pass and the parser keeps token indices; positions are found on
 the error path, by scanning the text again up to the offending token.
+Each call keeps its own tables, keyed by token tuples, so a channel type
+list or trace payload that repeats is parsed and resolved once; a table
+fills only after a successful parse, so every error keeps its position.
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
 """
@@ -58,6 +61,7 @@ from .terms import (
     Proof,
     TermExpr,
     TypeExpr,
+    TypeSetText,
     TypeSystem,
     apply,
     make_signature,
@@ -319,8 +323,11 @@ def parse_spec(text: str) -> SpecDocument:
     agents: dict[str, AgentId] = {}
     holdings: dict[AgentId, set[str]] = {}
     ctor_sigs: dict[str, tuple[TypeExpr, int]] = {}
-    channel_types: dict[tuple[AgentId, AgentId], set[AtomicType]] = {}
-    raw_channels: list[tuple[int, int, list[tuple[AtomicType, int]]]] = []
+    channel_types: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
+    # Each distinct type list, keyed by its tokens, and the channels naming it.
+    type_lists: dict[tuple[str, ...], int] = {}
+    list_entries: list[list[tuple[AtomicType, int]]] = []
+    raw_channels: list[tuple[int, int, int]] = []
     raw_constraints: list[_Stream] = []
     raw_holds: list[tuple[str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
     options: dict[str, tuple[int, int]] = {}
@@ -361,11 +368,16 @@ def parse_spec(text: str) -> SpecDocument:
             ts.expect("->")
             receiver = ts.expect_kind(IDENT)
             ts.expect(":")
-            entries = [_parse_type(ts)]
-            while ts.accept(","):
-                entries.append(_parse_type(ts))
-            ts.done()
-            raw_channels.append((sender, receiver, entries))
+            key = tuple(tokens[ts.pos : ts.end])
+            k = type_lists.get(key)
+            if k is None:
+                entries = [_parse_type(ts)]
+                while ts.accept(","):
+                    entries.append(_parse_type(ts))
+                ts.done()
+                k = type_lists[key] = len(list_entries)
+                list_entries.append(entries)
+            raw_channels.append((sender, receiver, k))
         elif keyword == "constraint":
             raw_constraints.append(ts)
         elif keyword == "option":
@@ -424,14 +436,19 @@ def parse_spec(text: str) -> SpecDocument:
                 )
             mine.add(ctor)
 
-    for sender_i, receiver_i, entries in raw_channels:
+    # A list is resolved where it first occurs, so an error names that site.
+    list_types: list[frozenset[AtomicType] | None] = [None] * len(list_entries)
+    for sender_i, receiver_i, k in raw_channels:
         sender = require_agent(sender_i)
         receiver = require_agent(receiver_i)
         if sender == receiver:
             raise ResolveError(f"channel from {sender.name} to itself", *_where(text, sender_i))
-        bucket = channel_types.setdefault((sender, receiver), set())
-        for ty, i in entries:
-            bucket.add(require_type(ty, i))
+        types = list_types[k]
+        if types is None:
+            types = list_types[k] = frozenset(require_type(ty, i) for ty, i in list_entries[k])
+        pair = (sender, receiver)
+        known = channel_types.get(pair)
+        channel_types[pair] = types if known is None else known | types
 
     constraints: list[Constraint] = []
     for ts in raw_constraints:
@@ -518,9 +535,9 @@ def print_spec(doc: SpecDocument) -> str:
     ts = arch.type_system
     sections: list[list[str]] = []
 
-    types = sorted(ts.atomic_types, key=type_sort_key)
-    if types:
-        sections.append(["types " + ", ".join(type_name(t) for t in types) + ";"])
+    joined = TypeSetText(ts.atomic_types, ", ".join)
+    if joined.names:
+        sections.append(["types " + ", ".join(joined.names) + ";"])
 
     agent_lines = []
     for a in arch.sorted_agents():
@@ -539,8 +556,7 @@ def print_spec(doc: SpecDocument) -> str:
     for (s, r), tys in sorted(
         arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
     ):
-        names = ", ".join(type_name(t) for t in sorted(tys, key=type_sort_key))
-        channel_lines.append(f"channel {s.name} -> {r.name} : {names};")
+        channel_lines.append(f"channel {s.name} -> {r.name} : {joined(tys)};")
     if channel_lines:
         sections.append(channel_lines)
 
@@ -568,15 +584,22 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     later by the trace checker."""
     tokens = tokenize(text)
     events: list[Event] = []
+    # Each distinct `term : TYPE`, keyed by its tokens; agents resolve per event.
+    payloads: dict[tuple[str, ...], tuple[TermExpr, AtomicType]] = {}
     for ts in _statements(text, tokens):
         sender_i = ts.expect_kind(IDENT)
         ts.expect("->")
         receiver_i = ts.expect_kind(IDENT)
         ts.expect(":")
-        term = _parse_term(ts)
-        ts.expect(":")
-        ty, _ = _parse_type(ts)
-        ts.done()
+        key = tuple(tokens[ts.pos : ts.end])
+        payload = payloads.get(key)
+        if payload is None:
+            term = _parse_term(ts)
+            ts.expect(":")
+            ty, _ = _parse_type(ts)
+            ts.done()
+            payload = payloads[key] = (term, ty)
+        term, ty = payload
         try:
             sender = arch.agent_named(tokens[sender_i])
         except ArchitectureError as exc:

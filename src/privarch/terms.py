@@ -10,7 +10,7 @@ this module stays independent of the architecture layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 class CalculusError(Exception):
@@ -85,6 +85,30 @@ def type_sort_key(t: AtomicType) -> tuple:
         case Proof(holder, inner):
             return (2, holder, inner)
     raise TypeError(f"not an atomic type: {t!r}")
+
+
+class TypeSetText:
+    """Renders type sets from their members' names in canonical order, for
+    one printing call. Each declared type's rank and name are worked out
+    once, and each distinct set is rendered once. A type outside `declared`
+    falls back to type_sort_key and type_name."""
+
+    def __init__(self, declared: Iterable[AtomicType], render: Callable[[list[str]], Any]):
+        order = sorted(declared, key=type_sort_key)
+        self.names = [type_name(t) for t in order]
+        self._entry = {t: (i, name) for i, (t, name) in enumerate(zip(order, self.names))}
+        self._render = render
+        self._done: dict[frozenset[AtomicType], Any] = {}
+
+    def __call__(self, types: frozenset[AtomicType]) -> Any:
+        out = self._done.get(types)
+        if out is None:
+            try:
+                names = [name for _, name in sorted(map(self._entry.__getitem__, types))]
+            except KeyError:
+                names = [type_name(t) for t in sorted(types, key=type_sort_key)]
+            out = self._done[types] = self._render(names)
+        return out
 
 
 @dataclass(frozen=True)

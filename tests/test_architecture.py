@@ -8,7 +8,9 @@ from privarch import (
     AgentId,
     Architecture,
     ArchitectureError,
+    Arrow,
     Base,
+    Certified,
     ConstructorDecl,
     INTERFACE,
     ORIGINAL,
@@ -149,6 +151,40 @@ def test_self_channel_is_a_violation(coppa):
     )
     rep = validate_architecture(broken)
     assert any(v.code == "channels" and "self-channel" in v.message for v in rep.violations)
+
+
+def test_validate_report_lists_every_violation_in_order(coppa):
+    # Violations sort by code and subject; one channel's types keep the
+    # canonical type order, with non-atomic types last.
+    broken = Architecture.build(
+        coppa.type_system,
+        coppa.agents,
+        {
+            CHILD: {"info", "zap", "ghost"},
+            PARENT: {"consent"},
+            WEBSITE: {"policy"},
+            AgentId.interface_of(AgentId("Ghost")): {"info"},
+        },
+        {
+            (CHILD, WEBSITE): {
+                INFO, Base("GHOST"), Certified("Parent", "INFO"), Arrow(INFO, CONSENT),
+            },
+            (PARENT, PARENT): {POLICY},
+            (WEBSITE, AgentId("Stranger")): {POLICY, Base("ALPHA")},
+            (PARENT, WEBSITE): {CONSENT},
+        },
+    )
+    assert validate_architecture(broken).lines() == [
+        "[channels] channel Child -> Website carries undeclared type GHOST",
+        "[channels] channel Child -> Website carries undeclared type C[Parent](INFO)",
+        "[channels] channel Child -> Website carries non-atomic type INFO -> CONSENT",
+        "[channels] self-channel on Parent is not allowed",
+        "[channels] channel endpoint Stranger is undeclared",
+        "[channels] channel Website -> Stranger carries undeclared type ALPHA",
+        "[holdings] Child holds undeclared constructor ghost",
+        "[holdings] Child holds undeclared constructor zap",
+        "[holdings] holdings for undeclared agent I:Ghost",
+    ]
 
 
 def test_original_agents_listing(coppa):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from privarch import dot_counts, export_dot
+from privarch import Architecture, Base, Proof, dot_counts, export_dot
 from privarch.verifier import canonical_partition
 
 
@@ -56,3 +56,41 @@ def test_loose_agents_render_outside_clusters(coppa_doc):
     assert dot.count("subgraph cluster_") == 1
     assert '  "Child" [shape=ellipse];' in dot
     assert dot_counts(dot) == (3, 3)
+
+
+def test_api_architecture_with_undeclared_type(coppa_doc):
+    # Types outside the type system label edges in the canonical type order.
+    arch = coppa_doc.architecture
+    child, parent, website = (arch.agent_named(n) for n in ("Child", "Parent", "Website"))
+    odd = {Base("INFO"), Base("AAA"), Proof("Parent", "ZED")}
+    api = Architecture.build(
+        arch.type_system,
+        arch.agents,
+        arch.holdings,
+        {
+            **arch.channels,
+            (child, parent): odd,
+            (parent, child): odd,
+            (website, child): {Base("POLICY"), Base("CONSENT"), Base("INFO")},
+        },
+    )
+    assert export_dot(api) == (
+        "digraph architecture {\n"
+        "  rankdir=LR;\n"
+        '  "Child" [shape=ellipse];\n'
+        '  "Parent" [shape=ellipse];\n'
+        '  "Website" [shape=ellipse];\n'
+        '  "Child" -> "Parent" [label="AAA"];\n'
+        '  "Child" -> "Parent" [label="INFO"];\n'
+        '  "Child" -> "Parent" [label="P[Parent](ZED)"];\n'
+        '  "Child" -> "Website" [label="INFO"];\n'
+        '  "Parent" -> "Child" [label="AAA"];\n'
+        '  "Parent" -> "Child" [label="INFO"];\n'
+        '  "Parent" -> "Child" [label="P[Parent](ZED)"];\n'
+        '  "Parent" -> "Website" [label="CONSENT"];\n'
+        '  "Website" -> "Child" [label="CONSENT"];\n'
+        '  "Website" -> "Child" [label="INFO"];\n'
+        '  "Website" -> "Child" [label="POLICY"];\n'
+        '  "Website" -> "Parent" [label="POLICY"];\n'
+        "}\n"
+    )

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from privarch import (
+    Architecture,
     Base,
     Certified,
     INTERFACE,
@@ -59,6 +60,42 @@ def test_printer_reproduces_generated_files(name):
 def test_printer_is_idempotent_on_handwritten_input():
     once = print_spec(parse_spec(read_fixture("coppa.parch")))
     assert print_spec(parse_spec(once)) == once
+
+
+def test_print_spec_of_api_architecture_with_undeclared_type(coppa_doc):
+    # Types outside the type system print in the canonical type order too.
+    arch = coppa_doc.architecture
+    child, parent, website = (arch.agent_named(n) for n in ("Child", "Parent", "Website"))
+    odd = {Base("INFO"), Base("AAA"), Proof("Parent", "ZED")}
+    api = Architecture.build(
+        arch.type_system,
+        arch.agents,
+        arch.holdings,
+        {
+            **arch.channels,
+            (child, parent): odd,
+            (parent, child): odd,
+            (website, child): {Base("POLICY"), Base("CONSENT"), Base("INFO")},
+        },
+    )
+    assert print_spec(SpecDocument.build(api, coppa_doc.constraints)) == (
+        "types CONSENT, INFO, POLICY;\n"
+        "\n"
+        "agent Child holds info: INFO;\n"
+        "agent Parent holds consent: CONSENT;\n"
+        "agent Website holds policy: POLICY;\n"
+        "\n"
+        "channel Child -> Parent : AAA, INFO, P[Parent](ZED);\n"
+        "channel Child -> Website : INFO;\n"
+        "channel Parent -> Child : AAA, INFO, P[Parent](ZED);\n"
+        "channel Parent -> Website : CONSENT;\n"
+        "channel Website -> Child : CONSENT, INFO, POLICY;\n"
+        "channel Website -> Parent : POLICY;\n"
+        "\n"
+        "constraint Website ni CONSENT => Parent ni POLICY;\n"
+        "constraint Website ni INFO => Website ni CONSENT;\n"
+        "constraint pos(Website, INFO);\n"
+    )
 
 
 def test_synthesized_document_round_trip(safe_v2, coppa_doc):
@@ -246,6 +283,39 @@ def test_spec_error_positions(kind, text, line, col, message):
     e = err(kind, text)
     assert (e.line, e.col) == (line, col)
     assert str(e) == f"line {line}, col {col}: {message}"
+
+
+# A parse resolves each distinct channel type list and trace payload once;
+# errors still point at the statement a fresh parse would blame.
+
+
+def test_repeated_channel_list_reports_first_occurrence():
+    e = err(
+        ResolveError,
+        "types A;\nagent X holds a: A;\nagent Y;\n"
+        "channel X -> Y : A, B;\nchannel Y -> X : A, B;",
+    )
+    assert str(e) == "line 4, col 21: undeclared type B"
+
+
+def test_spaced_type_list_after_fused_one_is_a_parse_error():
+    # Both lists join to the same text; only the first is one token `I:X`.
+    e = err(
+        ParseError,
+        "types A, C[I:X](A);\nagent X holds a: A;\nagent I:X;\n"
+        "channel X -> I:X : C[I:X](A);\nchannel I:X -> X : C [ I : X ] ( A );",
+    )
+    assert str(e) == "line 5, col 26: expected ']', got ':'"
+
+
+def test_repeated_trace_payload_reports_the_failing_statement(coppa_doc):
+    with pytest.raises(ResolveError) as info:
+        parse_trace(
+            "Child -> Website : info : INFO;\nChild -> Website : info : INFO;\n"
+            "Ghost -> Website : info : INFO;",
+            coppa_doc.architecture,
+        )
+    assert str(info.value) == "line 3, col 1: Ghost"
 
 
 # ---------------------------------------------------------------------------
