@@ -6,7 +6,10 @@ and input errors.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,49 @@ def test_synthesize_with_grants_reproduces_fixture(capsys, tmp_path):
     assert out_path.read_text() == read_fixture("coppa_safe_relaxed.parch")
 
 
+def test_synthesize_v1_output_file_reproduces_fixture(capsys, tmp_path):
+    out_path = tmp_path / "safe_v1.parch"
+    code, out, _ = run(
+        capsys, "synthesize", fixture_path("coppa_v1.parch"), "-o", str(out_path)
+    )
+    assert code == 0
+    assert f"wrote {out_path}" in out
+    assert out_path.read_text() == read_fixture("coppa_v1_safe.parch")
+
+
+WRAPPER_SPEC = "types A, C[X](A);\nagent X holds a: A;\n"
+WRAPPER_ERROR = (
+    "error: input type system already contains wrapper type C[X](A); "
+    "synthesis starts from base types only\n"
+)
+
+
+@pytest.mark.parametrize("algorithm", ["1", "2"])
+def test_synthesize_wrapper_input_type_is_an_error(capsys, tmp_path, algorithm):
+    spec = tmp_path / "wrapped.parch"
+    spec.write_text(WRAPPER_SPEC)
+    code, out, err = run(capsys, "synthesize", str(spec), "--algorithm", algorithm)
+    assert code == 2
+    assert out == ""
+    assert err == WRAPPER_ERROR
+
+
+def test_synthesize_form_error_precedes_wrapper_error(capsys, tmp_path):
+    # a creation constraint under algorithm 2 is reported before the wrapper
+    # type; under algorithm 1 the constraint fits and the wrapper is reported
+    spec = tmp_path / "wrapped.parch"
+    spec.write_text(WRAPPER_SPEC + "constraint X ni A => A;\n")
+    code, _, err = run(capsys, "synthesize", str(spec), "--algorithm", "2")
+    assert code == 2
+    assert err == (
+        "error: constraint form NegCreate is not handled by this construction: "
+        "X ni A => A\n"
+    )
+    code, _, err = run(capsys, "synthesize", str(spec), "--algorithm", "1")
+    assert code == 2
+    assert err == WRAPPER_ERROR
+
+
 def test_synthesize_wrong_constraint_form_is_an_error(capsys):
     code, _, err = run(capsys, "synthesize", fixture_path("coppa.parch"), "--algorithm", "1")
     assert code == 2
@@ -196,6 +242,39 @@ def test_verify_partition_file_matches_canonical(capsys, tmp_path):
     )
     assert code == 0
     assert "pass" in out
+
+
+VERIFY_GOLDEN = Path(__file__).with_name("verify_golden.json")
+
+
+def verify_outputs() -> dict[str, dict]:
+    """`verify --partition canonical` on the fixtures, human and `--json`;
+    `verify_golden.json` holds the recorded exit codes and stdout."""
+    out = {}
+    for name, *extra in (
+        ("coppa_safe_relaxed.parch",),
+        ("coppa_safe.parch", "--algorithm", "1"),
+        ("coppa.parch",),
+    ):
+        argv = ["verify", fixture_path(name), "--partition", "canonical", *extra]
+        record = {}
+        for key, flags in (("stdout", []), ("json", ["--json"])):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                record[f"{key} exit"] = main(argv + flags)
+            text = buf.getvalue()
+            if key == "json":
+                record[key] = json.loads(text)
+                assert text == json.dumps(record[key], indent=2) + "\n"
+            else:
+                record[key] = text.splitlines()
+                assert text == "".join(line + "\n" for line in record[key])
+        out[" ".join([name, *extra])] = record
+    return out
+
+
+def test_verify_output_matches_the_golden_record():
+    assert verify_outputs() == json.loads(VERIFY_GOLDEN.read_text())
 
 
 def test_verify_mixed_forms_require_explicit_algorithm(capsys, tmp_path):

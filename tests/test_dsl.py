@@ -480,6 +480,21 @@ def test_grant_unknown_agent_rejected(coppa_doc):
             "grant I:Parent -> O:Parent : POLICY;\n\tgrant I:Parent -> O:Parent : SECRET;",
             2, 31, "undeclared type SECRET",
         ),
+        (
+            parse_partition, ResolveError,
+            "cell Child: Child;\n  cell Ghost: Parent;",
+            2, 8, "Ghost",
+        ),
+        (
+            parse_grants, ResolveError,
+            "# input\ngrant I:Ghost -> O:Parent : POLICY;",
+            2, 7, "I:Ghost",
+        ),
+        (
+            parse_grants, ResolveError,
+            "# output\ngrant I:Parent -> O:Ghost : POLICY;",
+            2, 19, "O:Ghost",
+        ),
     ],
 )
 def test_document_error_positions(coppa_relaxed_doc, parse, kind, text, line, col, message):

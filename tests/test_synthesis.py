@@ -25,8 +25,10 @@ from privarch import (
     Proof,
     SynthesisConfig,
     SynthesisError,
+    SynthesizedFrom,
     build_safe_architecture_v1,
     build_safe_architecture_v2,
+    build_safe_type_system_v1,
     build_safe_type_system_v2,
     make_signature,
     relax_with_local_constraints,
@@ -201,6 +203,77 @@ def test_unknown_subject_rejected(coppa_doc):
 def test_wrapper_input_types_rejected(coppa_doc, safe_v2):
     with pytest.raises(SynthesisError):
         build_safe_architecture_v2(safe_v2.arch, [])
+
+
+WRAPPER_ERROR = (
+    "input type system already contains wrapper type C[X](A); "
+    "synthesis starts from base types only"
+)
+
+
+def wrapped_input():
+    from privarch import Architecture, ConstructorDecl, TypeSystem
+
+    a = Base("A")
+    ts = TypeSystem.build([a, Certified("X", "A")], [ConstructorDecl("a", a)])
+    return Architecture.build(ts, [AgentId("X")], {AgentId("X"): {"a"}}, {})
+
+
+@pytest.mark.parametrize("build", [build_safe_architecture_v1, build_safe_architecture_v2])
+def test_wrapper_type_in_originals_only_input_rejected(build):
+    with pytest.raises(SynthesisError) as info:
+        build(wrapped_input(), [])
+    assert not isinstance(info.value, ConstraintOutOfScope)
+    assert str(info.value) == WRAPPER_ERROR
+
+
+def test_form_error_precedes_wrapper_error():
+    # the architecture builders check the constraint forms first; the
+    # type-system builders check the input types first
+    arch = wrapped_input()
+    x, a = AgentId("X"), Base("A")
+    with pytest.raises(ConstraintOutOfScope, match="constraint form NegCreate"):
+        build_safe_architecture_v2(arch, [NegCreate(x, a, a)])
+    with pytest.raises(ConstraintOutOfScope, match="constraint form NegPossess"):
+        build_safe_architecture_v1(arch, [NegPossess(x, a, AgentId("Y"), a)])
+    with pytest.raises(SynthesisError) as info:
+        build_safe_type_system_v2(arch.type_system, arch.agents, [NegCreate(x, a, a)])
+    assert str(info.value) == WRAPPER_ERROR
+    with pytest.raises(SynthesisError) as info:
+        build_safe_type_system_v1(arch.type_system, arch.agents, [NegPossess(x, a, AgentId("Y"), a)])
+    assert str(info.value) == WRAPPER_ERROR
+
+
+def test_certifier_provenance(safe_v1, safe_v2):
+    assert safe_v1.provenance["m[Website,INFO][Child]"] == SynthesizedFrom(
+        "certifier", "Website", "INFO", (NegCreate(WEBSITE, INFO, CONSENT),)
+    )
+    assert safe_v2.provenance["m[Website,INFO]"] == SynthesizedFrom(
+        "certifier", "Website", "INFO", (NegPossess(WEBSITE, INFO, WEBSITE, CONSENT),)
+    )
+
+
+def test_provenance_orders_each_group(coppa_v1_doc, coppa_doc):
+    # given in reverse, each group comes back ordered by required type
+    # (then holder), the order of the certifier's arguments
+    creates = [NegCreate(WEBSITE, INFO, POLICY), NegCreate(WEBSITE, INFO, CONSENT)]
+    safe = build_safe_architecture_v1(coppa_v1_doc.architecture, creates)
+    assert safe.provenance["m[Website,INFO][Child,Parent]"].constraints == tuple(
+        reversed(creates)
+    )
+    assert safe.provenance["pi[Website,INFO]"].constraints == tuple(reversed(creates))
+    possesses = [
+        NegPossess(WEBSITE, INFO, WEBSITE, POLICY),
+        NegPossess(WEBSITE, INFO, WEBSITE, CONSENT),
+        NegPossess(WEBSITE, INFO, PARENT, CONSENT),
+    ]
+    safe = build_safe_architecture_v2(coppa_doc.architecture, possesses)
+    expected = (possesses[2], possesses[1], possesses[0])
+    for name in ("m[Website,INFO]", "pi[Website,INFO]", "p[Website,INFO]"):
+        assert safe.provenance[name].constraints == expected
+    assert signature_parts(safe.arch.type_system.constructor("m[Website,INFO]"))[0] == (
+        INFO, Proof("Parent", "CONSENT"), Proof("Website", "CONSENT"), Proof("Website", "POLICY")
+    )
 
 
 def test_capacity_cap(coppa_v1_doc):

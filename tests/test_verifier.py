@@ -264,3 +264,109 @@ def test_canonical_partition_groups_by_owner(safe_v2):
     assert p.cell_of(AgentId.interface_of(WEBSITE)) == WEBSITE
     assert p.cell_of(AgentId.output_of(WEBSITE)) == WEBSITE
     assert p.owner == safe_v2.canonical_partition.owner
+
+
+# ---------------------------------------------------------------------------
+# whole reports: every line, in report order
+
+
+def _broken(case, safe_v1, safe_v2, coppa_v1_doc):
+    """(report lines of) one hand-broken partition or architecture."""
+    v1_negatives = [c for c in coppa_v1_doc.constraints if isinstance(c, NegCreate)]
+    owner = dict(safe_v2.canonical_partition.owner)
+    arch, algorithm = safe_v2.arch, 2
+    if case == "owner dropped from its own cell":
+        del owner[WEBSITE]
+    elif case == "owner placed in another cell":
+        owner[WEBSITE] = CHILD
+    elif case == "owner placed in an unknown cell":
+        owner[WEBSITE] = AgentId("Ghost")
+    elif case == "member owned by an unknown agent":
+        owner[AgentId.output_of(CHILD)] = AgentId("Ghost")
+    elif case == "misplaced unwrapper v1":
+        holdings = {a: set(safe_v1.arch.holdings_of(a)) for a in safe_v1.arch.agents}
+        holdings[AgentId.interface_of(PARENT)].add("pi[Website,INFO]")
+        arch, algorithm = rebuilt(safe_v1.arch, holdings=holdings), 1
+        owner = dict(safe_v1.canonical_partition.owner)
+    elif case == "extra trigger constructor v1":
+        arch, algorithm = with_extra_ctor(safe_v1.arch, "backdoor", INFO, WEBSITE), 1
+        owner = dict(safe_v1.canonical_partition.owner)
+    elif case == "proof holder computes the proved type":
+        arch = with_extra_ctor(arch, "backdoor", POLICY, AgentId.output_of(PARENT))
+    elif case == "foreign feed channels":
+        channels = dict(arch.channels)
+        channels[(CHILD, AgentId.output_of(PARENT))] = frozenset({POLICY, INFO})
+        channels[(AgentId.interface_of(CHILD), AgentId.output_of(PARENT))] = frozenset(
+            {POLICY, Proof("Child", "INFO")}
+        )
+        arch = rebuilt(arch, channels=channels)
+    if algorithm == 1:
+        return verify_partition_v1(arch, Partition(owner), v1_negatives).lines()
+    return verify_partition_v2(arch, Partition(owner)).lines()
+
+
+BROKEN_LINES = {
+    "owner dropped from its own cell": [
+        "[p1-self] agent Website is assigned to no cell",
+        "[p1-self] cell owner Website does not belong to its own cell",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries CONSENT",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries INFO",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries POLICY",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries CONSENT",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries INFO",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries POLICY",
+    ],
+    "owner placed in another cell": [
+        "[p1-self] cell owner Website does not belong to its own cell",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries CONSENT",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries INFO",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries POLICY",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries CONSENT",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries INFO",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries POLICY",
+    ],
+    "owner placed in an unknown cell": [
+        "[p1-self] cell owner Ghost does not belong to its own cell",
+        "[p1-self] agent Website is owned by unknown Ghost",
+        "[p1-self] cell owner Website does not belong to its own cell",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries CONSENT",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries INFO",
+        "[p2-boundary] cross-cell channel I:Website -> Website carries POLICY",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries CONSENT",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries INFO",
+        "[p2-boundary] cross-cell channel Website -> O:Website carries POLICY",
+    ],
+    "member owned by an unknown agent": [
+        "[p1-self] cell owner Ghost does not belong to its own cell",
+        "[p1-self] agent O:Child is owned by unknown Ghost",
+        "[p2-boundary] cross-cell channel Child -> O:Child carries CONSENT",
+        "[p2-boundary] cross-cell channel Child -> O:Child carries INFO",
+        "[p2-boundary] cross-cell channel Child -> O:Child carries POLICY",
+    ],
+    "misplaced unwrapper v1": [
+        "[p3-unwrap] I:Parent holds unwrapper pi[Website,INFO] but is not in Website's cell",
+    ],
+    "extra trigger constructor v1": [
+        "[p4-target] Website in Website's cell holds backdoor targeting INFO, "
+        "which is not that cell's unwrapper",
+    ],
+    "proof holder computes the proved type": [
+        "[p4-proof-compute] O:Parent holds proof-maker p[Parent,POLICY] but can compute POLICY",
+    ],
+    "foreign feed channels": [
+        "[p2-boundary] cross-cell channel Child -> O:Parent carries INFO",
+        "[p2-boundary] cross-cell channel Child -> O:Parent carries POLICY",
+        "[p2-boundary] cross-cell channel I:Child -> O:Parent carries POLICY",
+        "[p5-proof-channel] O:Parent holds proof-maker p[Parent,INFO]"
+        " but receives INFO from Child, not Parent",
+        "[p5-proof-channel] O:Parent holds proof-maker p[Parent,POLICY]"
+        " but receives POLICY from Child, not Parent",
+        "[p5-proof-channel] O:Parent holds proof-maker p[Parent,POLICY]"
+        " but receives POLICY from I:Child, not Parent",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_LINES))
+def test_broken_report_lines(case, safe_v1, safe_v2, coppa_v1_doc):
+    assert _broken(case, safe_v1, safe_v2, coppa_v1_doc) == BROKEN_LINES[case]
