@@ -137,6 +137,10 @@ class Architecture:
     def sorted_agents(self) -> list[AgentId]:
         return sorted(self.agents, key=lambda a: a.sort_key)
 
+    def sorted_channels(self) -> list[tuple[tuple[AgentId, AgentId], frozenset[AtomicType]]]:
+        """Channels by sender, then receiver, each in `sort_key` order."""
+        return sorted(self.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key))
+
     def original_agents(self) -> list[AgentId]:
         return sorted((a for a in self.agents if a.kind == ORIGINAL), key=lambda a: a.name)
 

@@ -49,9 +49,7 @@ def export_dot(arch: Architecture, partition: Partition | None = None) -> str:
     labels = TypeSetText(
         arch.type_system.atomic_types, lambda names: [f" [label={_quote(n)}];" for n in names]
     )
-    for (s, r), types in sorted(
-        arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-    ):
+    for (s, r), types in arch.sorted_channels():
         edge = f"  {_quote(s.name)} -> {_quote(r.name)}"
         lines.extend(edge + label for label in labels(types))
 

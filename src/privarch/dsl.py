@@ -225,6 +225,14 @@ def _agent_id(ts: _Stream, i: int) -> AgentId:
         raise ts.error(ResolveError, str(exc), i) from exc
 
 
+def _known_agent(ts: _Stream, arch: Architecture, i: int) -> AgentId:
+    """The agent of `arch` named by token i, or a ResolveError at that token."""
+    try:
+        return arch.agent_named(ts.tokens[i])
+    except ArchitectureError as exc:
+        raise ts.error(ResolveError, str(exc), i) from exc
+
+
 def _parse_type(ts: _Stream) -> tuple[AtomicType, int]:
     tokens = ts.tokens
     head = ts.expect_kind(IDENT)
@@ -553,9 +561,7 @@ def print_spec(doc: SpecDocument) -> str:
         sections.append(agent_lines)
 
     channel_lines = []
-    for (s, r), tys in sorted(
-        arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-    ):
+    for (s, r), tys in arch.sorted_channels():
         channel_lines.append(f"channel {s.name} -> {r.name} : {joined(tys)};")
     if channel_lines:
         sections.append(channel_lines)
@@ -600,14 +606,8 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
             ts.done()
             payload = payloads[key] = (term, ty)
         term, ty = payload
-        try:
-            sender = arch.agent_named(tokens[sender_i])
-        except ArchitectureError as exc:
-            raise ts.error(ResolveError, str(exc), sender_i) from exc
-        try:
-            receiver = arch.agent_named(tokens[receiver_i])
-        except ArchitectureError as exc:
-            raise ts.error(ResolveError, str(exc), receiver_i) from exc
+        sender = _known_agent(ts, arch, sender_i)
+        receiver = _known_agent(ts, arch, receiver_i)
         try:
             events.append(Event(sender, term, ty, receiver))
         except TraceError as exc:
@@ -636,15 +636,9 @@ def parse_partition(text: str, arch: Architecture) -> Partition:
         while ts.accept(","):
             member_is.append(ts.expect_kind(IDENT))
         ts.done()
-        try:
-            owner = arch.agent_named(tokens[owner_i])
-        except ArchitectureError as exc:
-            raise ts.error(ResolveError, str(exc), owner_i) from exc
+        owner = _known_agent(ts, arch, owner_i)
         for i in member_is:
-            try:
-                member = arch.agent_named(tokens[i])
-            except ArchitectureError as exc:
-                raise ts.error(ResolveError, str(exc), i) from exc
+            member = _known_agent(ts, arch, i)
             if member in owner_map:
                 raise ts.error(
                     ResolveError, f"agent {member.name} appears in more than one cell", i
@@ -679,14 +673,8 @@ def parse_grants(text: str, arch: Architecture) -> tuple[Grant, ...]:
         ts.expect(":")
         ty, ty_i = _parse_type(ts)
         ts.done()
-        try:
-            input_agent = arch.agent_named(tokens[input_i])
-        except ArchitectureError as exc:
-            raise ts.error(ResolveError, str(exc), input_i) from exc
-        try:
-            output_agent = arch.agent_named(tokens[output_i])
-        except ArchitectureError as exc:
-            raise ts.error(ResolveError, str(exc), output_i) from exc
+        input_agent = _known_agent(ts, arch, input_i)
+        output_agent = _known_agent(ts, arch, output_i)
         if ty not in arch.type_system.atomic_types:
             raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", ty_i)
         grants.append(Grant(input_agent, ty, output_agent))

@@ -147,9 +147,7 @@ class _Encoding:
         # Channel rows carry masks of the types whose sends are gated or
         # discharge a gate, so the hot loop can skip the dict lookups.
         self.channels: list[tuple[int, int, int, int, int]] = []
-        for (s, r), types in sorted(
-            arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-        ):
+        for (s, r), types in arch.sorted_channels():
             si, ri = self.agent_idx[s], self.agent_idx[r]
             mask = req_mask = sets_mask = 0
             for t in types:

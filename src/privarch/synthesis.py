@@ -15,8 +15,9 @@ p[Agent,TYPE] builds proofs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .architecture import (
     Architecture,
@@ -37,7 +38,7 @@ from .terms import (
     make_signature,
     type_name,
 )
-from .verifier import Partition
+from .verifier import Partition, canonical_partition
 
 
 class SynthesisError(Exception):
@@ -103,39 +104,111 @@ def _base_types(ts: TypeSystem) -> list[Base]:
                 f"input type system already contains wrapper type {type_name(t)}; "
                 "synthesis starts from base types only"
             )
-    return sorted((t for t in ts.atomic_types if isinstance(t, Base)), key=lambda t: t.name)
+    return sorted(ts.atomic_types, key=lambda t: t.name)
 
 
-def _split_constraints(
-    constraints: Iterable[Constraint], expected: type
-) -> tuple[list, list[Positive]]:
-    negatives: list = []
-    positives: list[Positive] = []
+def _negatives(constraints: Iterable[Constraint], expected: type) -> list:
+    """The constraints of the expected negative form; positives are let
+    through and any other form is out of scope."""
+    negatives = []
     for c in constraints:
         if isinstance(c, expected):
             negatives.append(c)
-        elif isinstance(c, Positive):
-            positives.append(c)
-        else:
+        elif not isinstance(c, Positive):
             raise ConstraintOutOfScope(
                 f"constraint form {type(c).__name__} is not handled by this construction: {c}"
             )
-    return negatives, positives
+    return negatives
 
 
-def _check_scope(ts: TypeSystem, agents: Sequence[AgentId], negatives: Sequence) -> None:
+def _scoped_groups(
+    ts: TypeSystem, agents: Sequence[AgentId], negatives: Sequence
+) -> dict[tuple[str, Base], list]:
+    """Reject constraints over unknown agents or types, then group the rest
+    by (subject name, trigger), each group in its certifier's argument order."""
     agent_set = set(agents)
+    groups: dict[tuple[str, Base], list] = {}
     for c in negatives:
         if c.subject not in agent_set:
             raise ConstraintOutOfScope(f"constraint subject {c.subject.name} is not an agent")
-        mentioned = [c.trigger, c.required]
         if isinstance(c, NegPossess) and c.holder not in agent_set:
             raise ConstraintOutOfScope(f"constraint holder {c.holder.name} is not an agent")
-        for t in mentioned:
+        for t in (c.trigger, c.required):
             if t not in ts.atomic_types:
                 raise ConstraintOutOfScope(
                     f"constraint mentions undeclared type {type_name(t)}"
                 )
+        groups.setdefault((c.subject.name, c.trigger), []).append(c)
+    for group in groups.values():
+        group.sort(
+            key=lambda c: (
+                type_name(c.required),
+                c.holder.name if isinstance(c, NegPossess) else "",
+            )
+        )
+    return groups
+
+
+def _certified_family(
+    m_family_cap: int, agent_names: Sequence[str], agent: str, b: Base, group: Sequence
+) -> Iterator[tuple[str, list[AtomicType]]]:
+    """Certified transport: one certifier per choice of witness agents, each
+    demanding C[witness](required) for every required type of the group."""
+    if len(agent_names) ** len(group) > m_family_cap:
+        raise CapacityExceeded(
+            f"certifier family for ({agent}, {b.name}) needs "
+            f"{len(agent_names)}^{len(group)} members, over the cap {m_family_cap}"
+        )
+    for witnesses in itertools.product(agent_names, repeat=len(group)):
+        args = [Certified(w, type_name(c.required)) for w, c in zip(witnesses, group)]
+        yield certifier_name(agent, b.name, witnesses), [b, *args]
+
+
+def _proof_certifier(
+    agent_names: Sequence[str], agent: str, b: Base, group: Sequence
+) -> Iterator[tuple[str, list[AtomicType]]]:
+    """Proof transport: one certifier demanding P[holder](required) for every
+    constraint of the group."""
+    args = [Proof(c.holder.name, type_name(c.required)) for c in group]
+    yield certifier_name(agent, b.name), [b, *args]
+
+
+def _build_ts(
+    ts: TypeSystem,
+    agents: Sequence[AgentId],
+    bases: Sequence[Base],
+    groups: Mapping[tuple[str, Base], list],
+    wrappers: tuple[type, ...],
+    certifiers: Callable[..., Iterable[tuple[str, list[AtomicType]]]],
+) -> tuple[TypeSystem, dict[object, SynthesizedFrom], list[str]]:
+    """For each (agent, base): the wrapper types, the certifiers, the
+    unwrapper and, with proof wrappers, the proof-maker. Also returns the
+    certifier names."""
+    agent_names = sorted(a.name for a in agents)
+    types: set[AtomicType] = set(ts.atomic_types)
+    decls = list(ts.constructors)
+    provenance: dict[object, SynthesizedFrom] = {}
+    certifier_names: list[str] = []
+    for agent in agent_names:
+        for b in bases:
+            for wrapper in (kind(agent, b.name) for kind in wrappers):
+                types.add(wrapper)
+                provenance[wrapper] = SynthesizedFrom("wrapper-type", agent, b.name)
+            certified = Certified(agent, b.name)
+            group = tuple(groups.get((agent, b), ()))
+            made = [
+                ("certifier", name, args, certified)
+                for name, args in certifiers(agent_names, agent, b, group)
+            ]
+            certifier_names += [name for _, name, _, _ in made]
+            made.append(("unwrapper", unwrapper_name(agent, b.name), [certified], b))
+            if Proof in wrappers:
+                proof = Proof(agent, b.name)
+                made.append(("proof-maker", proof_maker_name(agent, b.name), [b], proof))
+            for role, name, args, target in made:
+                decls.append(ConstructorDecl(name, make_signature(args, target)))
+                provenance[name] = SynthesizedFrom(role, agent, b.name, group)
+    return TypeSystem.build(types, decls), provenance, certifier_names
 
 
 def build_safe_type_system_v1(
@@ -144,55 +217,11 @@ def build_safe_type_system_v1(
     constraints: Iterable[Constraint],
     m_family_cap: int = SynthesisConfig().m_family_cap,
 ) -> TypeSystem:
-    return _build_ts_v1(ts, tuple(agents), constraints, m_family_cap)[0]
-
-
-def _build_ts_v1(
-    ts: TypeSystem,
-    agents: Sequence[AgentId],
-    constraints: Iterable[Constraint],
-    m_family_cap: int,
-) -> tuple[TypeSystem, dict[object, SynthesizedFrom]]:
     bases = _base_types(ts)
-    negatives, _ = _split_constraints(constraints, NegCreate)
-    _check_scope(ts, agents, negatives)
-    agent_names = sorted(a.name for a in agents)
-    provenance: dict[object, SynthesizedFrom] = {}
-
-    types: set[AtomicType] = set(ts.atomic_types)
-    for agent in agent_names:
-        for b in bases:
-            wrapper = Certified(agent, b.name)
-            types.add(wrapper)
-            provenance[wrapper] = SynthesizedFrom("wrapper-type", agent, b.name)
-
-    decls = list(ts.constructors)
-    for agent in agent_names:
-        for b in bases:
-            group = sorted(
-                (c for c in negatives if c.subject.name == agent and c.trigger == b),
-                key=lambda c: type_name(c.required),
-            )
-            if len(agent_names) ** len(group) > m_family_cap:
-                raise CapacityExceeded(
-                    f"certifier family for ({agent}, {b.name}) needs "
-                    f"{len(agent_names)}^{len(group)} members, over the cap {m_family_cap}"
-                )
-            for witnesses in itertools.product(agent_names, repeat=len(group)):
-                args: list[AtomicType] = [b]
-                args += [
-                    Certified(w, type_name(c.required))
-                    for w, c in zip(witnesses, group)
-                ]
-                name = certifier_name(agent, b.name, witnesses)
-                decls.append(ConstructorDecl(name, make_signature(args, Certified(agent, b.name))))
-                provenance[name] = SynthesizedFrom("certifier", agent, b.name, tuple(group))
-            pi = unwrapper_name(agent, b.name)
-            decls.append(
-                ConstructorDecl(pi, make_signature([Certified(agent, b.name)], b))
-            )
-            provenance[pi] = SynthesizedFrom("unwrapper", agent, b.name, tuple(group))
-    return TypeSystem.build(types, decls), provenance
+    agents = tuple(agents)
+    groups = _scoped_groups(ts, agents, _negatives(constraints, NegCreate))
+    family = partial(_certified_family, m_family_cap)
+    return _build_ts(ts, agents, bases, groups, (Certified,), family)[0]
 
 
 def build_safe_type_system_v2(
@@ -200,55 +229,10 @@ def build_safe_type_system_v2(
     agents: Iterable[AgentId],
     constraints: Iterable[Constraint],
 ) -> TypeSystem:
-    return _build_ts_v2(ts, tuple(agents), constraints)[0]
-
-
-def _build_ts_v2(
-    ts: TypeSystem,
-    agents: Sequence[AgentId],
-    constraints: Iterable[Constraint],
-) -> tuple[TypeSystem, dict[object, SynthesizedFrom]]:
     bases = _base_types(ts)
-    negatives, _ = _split_constraints(constraints, NegPossess)
-    _check_scope(ts, agents, negatives)
-    agent_names = sorted(a.name for a in agents)
-    provenance: dict[object, SynthesizedFrom] = {}
-
-    types: set[AtomicType] = set(ts.atomic_types)
-    for agent in agent_names:
-        for b in bases:
-            for wrapper in (Certified(agent, b.name), Proof(agent, b.name)):
-                types.add(wrapper)
-                provenance[wrapper] = SynthesizedFrom("wrapper-type", agent, b.name)
-
-    decls = list(ts.constructors)
-    for agent in agent_names:
-        for b in bases:
-            group = sorted(
-                (c for c in negatives if c.subject.name == agent and c.trigger == b),
-                key=lambda c: (type_name(c.required), c.holder.name),
-            )
-            args: list[AtomicType] = [b]
-            args += [Proof(c.holder.name, type_name(c.required)) for c in group]
-            m = certifier_name(agent, b.name)
-            decls.append(ConstructorDecl(m, make_signature(args, Certified(agent, b.name))))
-            provenance[m] = SynthesizedFrom("certifier", agent, b.name, tuple(group))
-            pi = unwrapper_name(agent, b.name)
-            decls.append(ConstructorDecl(pi, make_signature([Certified(agent, b.name)], b)))
-            provenance[pi] = SynthesizedFrom("unwrapper", agent, b.name, tuple(group))
-            p = proof_maker_name(agent, b.name)
-            decls.append(ConstructorDecl(p, make_signature([b], Proof(agent, b.name))))
-            provenance[p] = SynthesizedFrom("proof-maker", agent, b.name, tuple(group))
-    return TypeSystem.build(types, decls), provenance
-
-
-def _originals_only(arch: Architecture) -> list[AgentId]:
-    for a in arch.agents:
-        if a.kind != ORIGINAL:
-            raise SynthesisError(
-                f"synthesis input must contain original agents only, found {a.name}"
-            )
-    return arch.original_agents()
+    agents = tuple(agents)
+    groups = _scoped_groups(ts, agents, _negatives(constraints, NegPossess))
+    return _build_ts(ts, agents, bases, groups, (Certified, Proof), _proof_certifier)[0]
 
 
 def _hypothesis_warnings(arch: Architecture, negatives: Sequence) -> tuple[str, ...]:
@@ -263,6 +247,78 @@ def _hypothesis_warnings(arch: Architecture, negatives: Sequence) -> tuple[str, 
     return tuple(warnings)
 
 
+# Interface agents, their holdings, and their base-type links to the originals.
+_Interfaces = tuple[list[AgentId], dict[AgentId, set[str]], list[tuple[AgentId, AgentId]]]
+
+
+def _extend(
+    arch: Architecture,
+    constraints: Iterable[Constraint],
+    expected: type,
+    wrappers: tuple[type, ...],
+    certifiers: Callable[..., Iterable[tuple[str, list[AtomicType]]]],
+    layout: Callable[[list[AgentId], list[Base], list[str]], _Interfaces],
+) -> SafeArchitecture:
+    """The skeleton both constructions share. The input checks run once, in
+    this order: original agents only, constraints of the expected form, base
+    types only, constraints in scope. `layout` places the interfaces, their
+    holdings and their base-type links to the originals; the originals keep
+    their code and the interfaces form a full mesh of wrapper types."""
+    for a in arch.agents:
+        if a.kind != ORIGINAL:
+            raise SynthesisError(
+                f"synthesis input must contain original agents only, found {a.name}"
+            )
+    originals = arch.original_agents()
+    negatives = _negatives(constraints, expected)
+    ts = arch.type_system
+    bases = _base_types(ts)
+    groups = _scoped_groups(ts, originals, negatives)
+    safe_ts, provenance, certifier_names = _build_ts(
+        ts, originals, bases, groups, wrappers, certifiers
+    )
+    interfaces, holdings, links = layout(originals, bases, certifier_names)
+    holdings.update((a, arch.holdings_of(a)) for a in originals)
+    # The input types are all base types (checked above). All links share one
+    # type set and all mesh channels another.
+    channels = dict.fromkeys(links, ts.atomic_types)
+    mesh = itertools.permutations(interfaces, 2)
+    channels.update(dict.fromkeys(mesh, safe_ts.atomic_types - ts.atomic_types))
+    agents = [*originals, *interfaces]
+    return SafeArchitecture(
+        Architecture.build(safe_ts, agents, holdings, channels),
+        canonical_partition(agents),
+        provenance,
+        _hypothesis_warnings(arch, negatives),
+    )
+
+
+def _single_interfaces(
+    originals: Sequence[AgentId], bases: Sequence[Base], certifiers: Sequence[str]
+) -> _Interfaces:
+    interfaces = [AgentId.interface_of(a) for a in originals]
+    holdings: dict[AgentId, set[str]] = {}
+    links = []
+    for a, i in zip(originals, interfaces):
+        holdings[i] = {*certifiers, *(unwrapper_name(a.name, b.name) for b in bases)}
+        links += [(a, i), (i, a)]
+    return interfaces, holdings, links
+
+
+def _input_output_interfaces(
+    originals: Sequence[AgentId], bases: Sequence[Base], certifiers: Sequence[str]
+) -> _Interfaces:
+    inputs = [AgentId.interface_of(a) for a in originals]
+    outputs = [AgentId.output_of(a) for a in originals]
+    holdings: dict[AgentId, set[str]] = {}
+    links = []
+    for a, i, o in zip(originals, inputs, outputs):
+        holdings[i] = {unwrapper_name(a.name, b.name) for b in bases}
+        holdings[o] = {*certifiers, *(proof_maker_name(a.name, b.name) for b in bases)}
+        links += [(i, a), (a, o)]
+    return inputs + outputs, holdings, links
+
+
 def build_safe_architecture_v1(
     arch: Architecture,
     constraints: Iterable[Constraint],
@@ -270,43 +326,8 @@ def build_safe_architecture_v1(
 ) -> SafeArchitecture:
     """Interface extension for creation constraints: one interface per agent,
     certifiers everywhere, unwrapping confined to each owner's interface."""
-    originals = _originals_only(arch)
-    constraints = tuple(constraints)
-    negatives, _ = _split_constraints(constraints, NegCreate)
-    safe_ts, provenance = _build_ts_v1(
-        arch.type_system, originals, constraints, config.m_family_cap
-    )
-    bases = _base_types(arch.type_system)
-
-    interfaces = {a: AgentId.interface_of(a) for a in originals}
-    agents = list(originals) + [interfaces[a] for a in originals]
-
-    certifier_names = sorted(
-        name
-        for name, origin in provenance.items()
-        if isinstance(name, str) and origin.role == "certifier"
-    )
-    holdings: dict[AgentId, set[str]] = {a: set(arch.holdings_of(a)) for a in originals}
-    for a in originals:
-        mine = set(certifier_names)
-        mine.update(unwrapper_name(a.name, b.name) for b in bases)
-        holdings[interfaces[a]] = mine
-
-    channels: dict[tuple[AgentId, AgentId], set[AtomicType]] = {}
-    base_set = set(bases)
-    for a in originals:
-        channels[(a, interfaces[a])] = set(base_set)
-        channels[(interfaces[a], a)] = set(base_set)
-    certified = {t for t in safe_ts.atomic_types if isinstance(t, Certified)}
-    for a, b in itertools.permutations(originals, 2):
-        channels[(interfaces[a], interfaces[b])] = set(certified)
-
-    safe = Architecture.build(safe_ts, agents, holdings, channels)
-    owner = {a: a for a in originals}
-    owner.update({interfaces[a]: a for a in originals})
-    return SafeArchitecture(
-        safe, Partition(owner), provenance, _hypothesis_warnings(arch, negatives)
-    )
+    family = partial(_certified_family, config.m_family_cap)
+    return _extend(arch, constraints, NegCreate, (Certified,), family, _single_interfaces)
 
 
 def build_safe_architecture_v2(
@@ -317,46 +338,9 @@ def build_safe_architecture_v2(
     """Input/output interface extension for possession constraints: payloads
     enter an agent through its input interface (which alone unwraps) and
     leave through its output interface (which alone builds its proofs)."""
-    originals = _originals_only(arch)
-    constraints = tuple(constraints)
-    negatives, _ = _split_constraints(constraints, NegPossess)
-    safe_ts, provenance = _build_ts_v2(arch.type_system, originals, constraints)
-    bases = _base_types(arch.type_system)
-
-    inputs = {a: AgentId.interface_of(a) for a in originals}
-    outputs = {a: AgentId.output_of(a) for a in originals}
-    agents = list(originals) + [inputs[a] for a in originals] + [outputs[a] for a in originals]
-
-    certifier_names = sorted(
-        name
-        for name, origin in provenance.items()
-        if isinstance(name, str) and origin.role == "certifier"
-    )
-    holdings: dict[AgentId, set[str]] = {a: set(arch.holdings_of(a)) for a in originals}
-    for a in originals:
-        holdings[inputs[a]] = {unwrapper_name(a.name, b.name) for b in bases}
-        mine = set(certifier_names)
-        mine.update(proof_maker_name(a.name, b.name) for b in bases)
-        holdings[outputs[a]] = mine
-
-    channels: dict[tuple[AgentId, AgentId], set[AtomicType]] = {}
-    base_set = set(bases)
-    for a in originals:
-        channels[(inputs[a], a)] = set(base_set)
-        channels[(a, outputs[a])] = set(base_set)
-    wrappers = {
-        t for t in safe_ts.atomic_types if isinstance(t, (Certified, Proof))
-    }
-    interface_agents = [inputs[a] for a in originals] + [outputs[a] for a in originals]
-    for x, y in itertools.permutations(interface_agents, 2):
-        channels[(x, y)] = set(wrappers)
-
-    safe = Architecture.build(safe_ts, agents, holdings, channels)
-    owner = {a: a for a in originals}
-    owner.update({inputs[a]: a for a in originals})
-    owner.update({outputs[a]: a for a in originals})
-    return SafeArchitecture(
-        safe, Partition(owner), provenance, _hypothesis_warnings(arch, negatives)
+    return _extend(
+        arch, constraints, NegPossess, (Certified, Proof), _proof_certifier,
+        _input_output_interfaces,
     )
 
 

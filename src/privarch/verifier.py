@@ -16,6 +16,9 @@ constructor targeting the trigger is its unwrapper); for the proof
 discipline p4-proof-compute (a proof-maker's holder cannot compute the
 proved type) and p5-proof-channel (the only incoming channel of the proved
 type comes from the owner).
+
+report() sorts the violations by code and subject, so the checks may visit
+agents, holdings and channels in any order.
 """
 
 from __future__ import annotations
@@ -87,8 +90,7 @@ def proof_maker_form(decl: ConstructorDecl) -> tuple[str, str] | None:
 
 def _membership_violations(arch: Architecture, partition: Partition) -> list[Violation]:
     violations = []
-    owners = set(partition.owner.values())
-    for a in sorted(arch.agents, key=lambda a: a.sort_key):
+    for a in arch.agents:
         cell = partition.cell_of(a)
         if cell is None:
             violations.append(
@@ -100,7 +102,9 @@ def _membership_violations(arch: Architecture, partition: Partition) -> list[Vio
                     "p1-self", (a.name,), f"agent {a.name} is owned by unknown {cell.name}"
                 )
             )
-    for o in sorted(owners, key=lambda a: a.sort_key):
+    # After the loop above: an owner missing from its own cell gets both
+    # lines, and report() keeps their order.
+    for o in set(partition.owner.values()):
         if partition.cell_of(o) != o:
             violations.append(
                 Violation(
@@ -114,12 +118,11 @@ def _boundary_violations(
     arch: Architecture, partition: Partition, allowed: tuple[type, ...]
 ) -> list[Violation]:
     violations = []
-    for (s, r), types in sorted(
-        arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-    ):
-        if partition.cell_of(s) == partition.cell_of(r) and partition.cell_of(s) is not None:
+    for (s, r), types in arch.channels.items():
+        cell = partition.cell_of(s)
+        if cell is not None and cell == partition.cell_of(r):
             continue
-        for t in sorted(types, key=type_name):
+        for t in types:
             # Unknown forms are rejected conservatively: anything that is not
             # an expected wrapper may leak across the boundary.
             if not (is_atomic(t) and isinstance(t, allowed)):
@@ -135,13 +138,13 @@ def _boundary_violations(
 
 def _unwrap_cell_violations(arch: Architecture, partition: Partition) -> list[Violation]:
     violations = []
-    for a in sorted(arch.agents, key=lambda a: a.sort_key):
-        for name in sorted(arch.holdings_of(a)):
+    for a in arch.agents:
+        cell = partition.cell_of(a)
+        for name in arch.holdings_of(a):
             form = unwrapper_form(arch.type_system.constructor(name))
             if form is None:
                 continue
             owner_name, _ = form
-            cell = partition.cell_of(a)
             if cell is None or cell.name != owner_name:
                 violations.append(
                     Violation(
@@ -162,9 +165,10 @@ def verify_partition_v1(
     violations += _boundary_violations(arch, partition, (Certified,))
     violations += _unwrap_cell_violations(arch, partition)
     for c in negatives:
-        cell = [a for a in arch.agents if partition.cell_of(a) == c.subject]
-        for a in sorted(cell, key=lambda a: a.sort_key):
-            for name in sorted(arch.holdings_of(a)):
+        for a in arch.agents:
+            if partition.cell_of(a) != c.subject:
+                continue
+            for name in arch.holdings_of(a):
                 decl = arch.type_system.constructor(name)
                 if signature_parts(decl)[1] != c.trigger:
                     continue
@@ -193,39 +197,34 @@ def verify_partition_v2(
     violations = _membership_violations(arch, partition)
     violations += _boundary_violations(arch, partition, (Certified, Proof))
     violations += _unwrap_cell_violations(arch, partition)
-    for a in sorted(arch.agents, key=lambda a: a.sort_key):
-        proved: list[tuple[str, str, str]] = []
-        for name in sorted(arch.holdings_of(a)):
-            form = proof_maker_form(arch.type_system.constructor(name))
-            if form is not None:
-                proved.append((name, *form))
-        if not proved:
-            continue
-        targets = {
-            signature_parts(arch.type_system.constructor(n))[1]
-            for n in arch.holdings_of(a)
-        }
-        for name, owner_name, base_name in proved:
-            if Base(base_name) in targets:
+    # p4 per holder; p5 then reads each channel once against the proof-makers
+    # its receiver holds.
+    makers: dict[AgentId, list[tuple[str, str, str]]] = {}
+    for a in arch.agents:
+        held = {name: arch.type_system.constructor(name) for name in arch.holdings_of(a)}
+        targets = {signature_parts(decl)[1] for decl in held.values()}
+        for name, decl in held.items():
+            form = proof_maker_form(decl)
+            if form is None:
+                continue
+            makers.setdefault(a, []).append((name, *form))
+            if Base(form[1]) in targets:
                 violations.append(
                     Violation(
                         "p4-proof-compute",
                         (a.name, name),
-                        f"{a.name} holds proof-maker {name} but can compute {base_name}",
+                        f"{a.name} holds proof-maker {name} but can compute {form[1]}",
                     )
                 )
-            for (s, r), types in sorted(
-                arch.channels.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-            ):
-                if r != a or Base(base_name) not in types:
-                    continue
-                if s.name != owner_name:
-                    violations.append(
-                        Violation(
-                            "p5-proof-channel",
-                            (a.name, name, s.name),
-                            f"{a.name} holds proof-maker {name} but receives "
-                            f"{base_name} from {s.name}, not {owner_name}",
-                        )
+    for (s, r), types in arch.channels.items():
+        for name, owner_name, base_name in makers.get(r, ()):
+            if s.name != owner_name and Base(base_name) in types:
+                violations.append(
+                    Violation(
+                        "p5-proof-channel",
+                        (r.name, name, s.name),
+                        f"{r.name} holds proof-maker {name} but receives "
+                        f"{base_name} from {s.name}, not {owner_name}",
                     )
+                )
     return report(violations)

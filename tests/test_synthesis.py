@@ -228,8 +228,8 @@ def test_wrapper_type_in_originals_only_input_rejected(build):
 
 
 def test_form_error_precedes_wrapper_error():
-    # the architecture builders check the constraint forms first; the
-    # type-system builders check the input types first
+    # build_safe_architecture_* check the constraint forms first,
+    # build_safe_type_system_* the input types
     arch = wrapped_input()
     x, a = AgentId("X"), Base("A")
     with pytest.raises(ConstraintOutOfScope, match="constraint form NegCreate"):
