@@ -54,16 +54,17 @@ from .constraints import (
 from .semantics import Event, Trace, TraceError
 from .synthesis import Grant, SynthesisConfig
 from .terms import (
+    App,
     AtomicType,
     Base,
     Certified,
+    Con,
     ConstructorDecl,
     Proof,
     TermExpr,
     TypeExpr,
     TypeSetText,
     TypeSystem,
-    apply,
     make_signature,
     type_name,
     type_sort_key,
@@ -262,21 +263,26 @@ def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
     return name, head
 
 
-def _parse_term(ts: _Stream) -> TermExpr:
+def _parse_term(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> TermExpr:
+    """Each node is looked up in `shared`, so equal subterms parsed with one
+    table are one object."""
     name, _ = _parse_ctor_name(ts)
-    if not ts.accept("("):
-        return apply(name, [])
-    args = [_parse_term(ts)]
-    while ts.accept(","):
-        args.append(_parse_term(ts))
-    ts.expect(")")
-    return apply(name, args)
+    term: TermExpr = Con(name)
+    term = shared.setdefault(term, term)
+    if ts.accept("("):
+        while True:
+            node = App(term, _parse_term(ts, shared))
+            term = shared.setdefault(node, node)
+            if not ts.accept(","):
+                break
+        ts.expect(")")
+    return term
 
 
 def parse_term(text: str) -> TermExpr:
     """Parse one prefix-notation term, e.g. `pi[X,A](m[X,A](payload))`."""
     ts = _Stream(text, tokenize(text))
-    term = _parse_term(ts)
+    term = _parse_term(ts, {})
     ts.done()
     return term
 
@@ -592,6 +598,8 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     events: list[Event] = []
     # Each distinct `term : TYPE`, keyed by its tokens; agents resolve per event.
     payloads: dict[tuple[str, ...], tuple[TermExpr, AtomicType]] = {}
+    # Equal subterms of different payloads are one object too.
+    shared: dict[TermExpr, TermExpr] = {}
     for ts in _statements(text, tokens):
         sender_i = ts.expect_kind(IDENT)
         ts.expect("->")
@@ -600,7 +608,7 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
         key = tuple(tokens[ts.pos : ts.end])
         payload = payloads.get(key)
         if payload is None:
-            term = _parse_term(ts)
+            term = _parse_term(ts, shared)
             ts.expect(":")
             ty, _ = _parse_type(ts)
             ts.done()

@@ -46,6 +46,7 @@ from .semantics import (
     KnowledgeState,
     Trace,
     check_trace_valid,
+    constructor_rules,
     possession_closure,
     receive,
     seed_witnesses,
@@ -201,7 +202,8 @@ def reconstruct_trace(
     """Turn an abstract send sequence into a concrete trace using canonical
     witness terms (the knowledge-closure rule: witnesses are assigned once,
     smallest first, never replaced)."""
-    owned = seed_witnesses(arch)
+    rules = constructor_rules(arch)
+    owned = seed_witnesses(rules)
     events: list[Event] = []
     for sender, msg_type, receiver in abstract_events:
         term = owned[sender].get(msg_type)
@@ -210,7 +212,7 @@ def reconstruct_trace(
                 f"sender {sender.name} holds no witness for the scheduled send"
             )
         events.append(Event(sender, term, msg_type, receiver))
-        receive(arch, owned, events[-1])
+        receive(rules, owned, events[-1])
     return tuple(events)
 
 

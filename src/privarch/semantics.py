@@ -15,10 +15,10 @@ from .architecture import Architecture, AgentId
 from .terms import (
     App,
     AtomicType,
-    Con,
     TermExpr,
     TypeExpr,
     CalculusError,
+    apply,
     infer_type,
     is_atomic,
     make_signature,
@@ -90,14 +90,21 @@ class TraceCheck:
         return f"invalid at event {self.index}: {self.reason} violation"
 
 
-def _check_event_structure(arch: Architecture, i: int, e: Event) -> None:
+def _check_event_structure(
+    arch: Architecture, i: int, e: Event, types: dict[TermExpr, TypeExpr]
+) -> None:
+    """Raise unless both ends of the event exist and its term has the
+    declared type. `types` holds the type of each distinct term met so far
+    in this pass, so a repeated term is inferred once."""
     for end in (e.sender, e.receiver):
         if end not in arch.agents:
             raise EventTypeError(f"event {i}: unknown agent {end.name}")
-    try:
-        ty = infer_type(arch.type_system, e.term)
-    except CalculusError as exc:
-        raise EventTypeError(f"event {i}: {exc}") from exc
+    ty = types.get(e.term)
+    if ty is None:
+        try:
+            ty = types[e.term] = infer_type(arch.type_system, e.term)
+        except CalculusError as exc:
+            raise EventTypeError(f"event {i}: {exc}") from exc
     if ty != e.msg_type:
         raise EventTypeError(
             f"event {i}: term {term_to_str(e.term)} has type {type_name(ty)}, "
@@ -134,8 +141,9 @@ def _index_trace(
     """One forward pass: the validity verdict plus, per agent, the first
     delivery index of every term that reached it in the valid prefix."""
     delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
+    types: dict[TermExpr, TypeExpr] = {}
     for i, e in enumerate(events):
-        _check_event_structure(arch, i, e)
+        _check_event_structure(arch, i, e, types)
         if e.msg_type not in arch.channel_types(e.sender, e.receiver):
             return TraceCheck(False, i, CHANNEL), delivered
         if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
@@ -246,44 +254,81 @@ class KnowledgeState:
         return self.witnesses[(agent, ty)]
 
 
+Rule = tuple[str, tuple[AtomicType, ...], AtomicType]
+# One agent's rules: every row, and the rows that take each type as an argument.
+AgentRules = tuple[list[Rule], dict[AtomicType, list[Rule]]]
+
+
+def constructor_rules(arch: Architecture) -> dict[AgentId, AgentRules]:
+    """Each agent's held constructors as (name, argument types, target)
+    rows, sorted by name, for every agent in sorted order. A possession fold
+    builds them once and passes them to every step."""
+    ts = arch.type_system
+    rules: dict[AgentId, AgentRules] = {}
+    for agent in arch.sorted_agents():
+        rows: list[Rule] = [
+            (n, *signature_parts(ts.constructor(n))) for n in sorted(arch.holdings_of(agent))
+        ]
+        uses: dict[AtomicType, list[Rule]] = {}
+        for row in rows:
+            for a in dict.fromkeys(row[1]):
+                uses.setdefault(a, []).append(row)
+        rules[agent] = (rows, uses)
+    return rules
+
+
 def _close_agent(
-    arch: Architecture, agent: AgentId, owned: dict[AtomicType, TermExpr]
+    uses: Mapping[AtomicType, list[Rule]],
+    owned: dict[AtomicType, TermExpr],
+    candidates: Iterable[Rule],
 ) -> None:
     """Saturate one agent's type-level possession in place: whenever every
     argument type of a held constructor is possessed, the target is too.
-    Smallest new witness first keeps the choice canonical."""
-    decls = [arch.type_system.constructor(n) for n in sorted(arch.holdings_of(agent))]
-    parts = [(d.name, *signature_parts(d)) for d in decls]
-    while True:
-        best: tuple[int, str, TermExpr, AtomicType] | None = None
-        for name, args, target in parts:
-            if target in owned:
-                continue
-            if all(a in owned for a in args):
-                term: TermExpr = Con(name)
-                for a in args:
-                    term = App(term, owned[a])
-                cand = (term_size(term), term_to_str(term), term, target)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        if best is None:
-            return
-        owned[best[3]] = best[2]
+    Smallest new witness first (by size, then printed form) keeps the choice
+    canonical; a candidate is built and printed only to break a size tie.
+
+    `candidates` must hold every row that may have become applicable since
+    the agent was last closed; after that, only the rows that take a newly
+    possessed type can become applicable."""
+
+    def applicable(rows: Iterable[Rule]) -> list[tuple[int, Rule]]:
+        return [
+            (1 + sum(term_size(owned[a]) for a in row[1]), row)
+            for row in rows
+            if row[2] not in owned and all(a in owned for a in row[1])
+        ]
+
+    ready = applicable(candidates)
+    while ready:
+        smallest = min(size for size, _ in ready)
+        ties = [
+            (apply(name, [owned[a] for a in args]), target)
+            for size, (name, args, target) in ready
+            if size == smallest
+        ]
+        term, target = ties[0] if len(ties) == 1 else min(ties, key=lambda c: term_to_str(c[0]))
+        owned[target] = term
+        ready = [(size, row) for size, row in ready if row[2] != target]
+        ready += applicable(uses.get(target, ()))
 
 
-def seed_witnesses(arch: Architecture) -> dict[AgentId, dict[AtomicType, TermExpr]]:
+def seed_witnesses(
+    rules: Mapping[AgentId, AgentRules]
+) -> dict[AgentId, dict[AtomicType, TermExpr]]:
     """Each agent's canonical witness per type before any event: what its
     held constructors alone can build."""
     owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
-    for agent in arch.sorted_agents():
+    for agent, (rows, uses) in rules.items():
         mine: dict[AtomicType, TermExpr] = {}
-        _close_agent(arch, agent, mine)
+        _close_agent(uses, mine, rows)
         owned[agent] = mine
     return owned
 
 
 def receive(
-    arch: Architecture, owned: dict[AgentId, dict[AtomicType, TermExpr]], e: Event
+    rules: Mapping[AgentId, AgentRules],
+    owned: dict[AgentId, dict[AtomicType, TermExpr]],
+    e: Event,
 ) -> bool:
     """Fold one delivery into `owned`: a receiver with no witness at the
     event's type takes the delivered term and is re-closed. An existing
@@ -292,7 +337,8 @@ def receive(
     if e.msg_type in mine:
         return False
     mine[e.msg_type] = e.term
-    _close_agent(arch, e.receiver, mine)
+    uses = rules[e.receiver][1]
+    _close_agent(uses, mine, uses.get(e.msg_type, ()))
     return True
 
 
@@ -308,12 +354,13 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
     verdict = check_trace_valid(arch, events)
     if not verdict.valid:
         raise InvalidTraceError(str(verdict))
-    owned = seed_witnesses(arch)
+    rules = constructor_rules(arch)
+    owned = seed_witnesses(rules)
     possessed = {a: frozenset(m) for a, m in owned.items() if m}
     witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
     states = [KnowledgeState(possessed, witnesses)]
     for e in events:
-        if not receive(arch, owned, e):
+        if not receive(rules, owned, e):
             states.append(states[-1])
             continue
         mine = owned[e.receiver]

@@ -9,7 +9,7 @@ this module stays independent of the architecture layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
@@ -116,10 +116,59 @@ class Con:
     name: str
 
 
-@dataclass(frozen=True)
 class App:
+    """Application of `fun` to `arg`. Immutable; the hash and the size are
+    computed once, at construction, from the children's stored values, so
+    hashing never walks the term. Equality tests identity, then the stored
+    hashes and sizes, and only then the structure, with an explicit stack."""
+
+    __slots__ = ("fun", "arg", "size", "_hash")
+    __match_args__ = ("fun", "arg")
+
     fun: "TermExpr"
     arg: "TermExpr"
+    size: int
+
+    def __init__(self, fun: "TermExpr", arg: "TermExpr") -> None:
+        init = object.__setattr__
+        init(self, "fun", fun)
+        init(self, "arg", arg)
+        init(self, "size", term_size(fun) + term_size(arg))
+        init(self, "_hash", hash((fun, arg)))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, App):
+            return NotImplemented
+        stack: list[tuple[TermExpr, TermExpr]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, App):
+                if not isinstance(b, App) or a._hash != b._hash or a.size != b.size:
+                    return False
+                stack.append((a.arg, b.arg))
+                stack.append((a.fun, b.fun))
+            elif a != b:
+                return False
+        return True
+
+    def __reduce__(self) -> tuple:
+        return (App, (self.fun, self.arg))
+
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, arg={self.arg!r})"
 
 
 TermExpr = Con | App
@@ -133,11 +182,11 @@ def term_to_str(t: TermExpr) -> str:
 
 
 def term_size(t: TermExpr) -> int:
-    match t:
-        case Con(_):
-            return 1
-        case App(fun, arg):
-            return term_size(fun) + term_size(arg)
+    """Number of constructor occurrences; stored in every App."""
+    if isinstance(t, App):
+        return t.size
+    if isinstance(t, Con):
+        return 1
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -34,6 +34,7 @@ from .terms import (
     Certified,
     ConstructorDecl,
     Proof,
+    UnknownConstructor,
     is_atomic,
     signature_parts,
     type_name,
@@ -86,6 +87,22 @@ def proof_maker_form(decl: ConstructorDecl) -> tuple[str, str] | None:
     ):
         return target.holder, args[0].name
     return None
+
+
+def _require_declared(arch: Architecture) -> None:
+    """Raise UnknownConstructor for the first undeclared holding, agents in
+    sorted order and names sorted within an agent, so the name raised does
+    not depend on set order. `validate_architecture` reports these instead;
+    the premises cannot be read without the signatures."""
+    ts = arch.type_system
+    missing = [
+        (a.sort_key, name)
+        for a in arch.agents
+        for name in arch.holdings_of(a)
+        if not ts.has_constructor(name)
+    ]
+    if missing:
+        raise UnknownConstructor(min(missing)[1])
 
 
 def _membership_violations(arch: Architecture, partition: Partition) -> list[Violation]:
@@ -160,26 +177,28 @@ def verify_partition_v1(
     arch: Architecture, partition: Partition, constraints: Iterable[NegCreate]
 ) -> VerdictReport:
     """Premises of the certified-only discipline (four checks)."""
+    _require_declared(arch)
     negatives = [c for c in constraints if isinstance(c, NegCreate)]
     violations = _membership_violations(arch, partition)
     violations += _boundary_violations(arch, partition, (Certified,))
     violations += _unwrap_cell_violations(arch, partition)
-    for c in negatives:
+    # Constraints that share a subject and a trigger share one check.
+    for subject, trigger in dict.fromkeys((c.subject, c.trigger) for c in negatives):
         for a in arch.agents:
-            if partition.cell_of(a) != c.subject:
+            if partition.cell_of(a) != subject:
                 continue
             for name in arch.holdings_of(a):
                 decl = arch.type_system.constructor(name)
-                if signature_parts(decl)[1] != c.trigger:
+                if signature_parts(decl)[1] != trigger:
                     continue
                 form = unwrapper_form(decl)
-                if form != (c.subject.name, type_name(c.trigger)):
+                if form != (subject.name, type_name(trigger)):
                     violations.append(
                         Violation(
                             "p4-target",
-                            (a.name, name, type_name(c.trigger)),
-                            f"{a.name} in {c.subject.name}'s cell holds {name} targeting "
-                            f"{type_name(c.trigger)}, which is not that cell's unwrapper",
+                            (a.name, name, type_name(trigger)),
+                            f"{a.name} in {subject.name}'s cell holds {name} targeting "
+                            f"{type_name(trigger)}, which is not that cell's unwrapper",
                         )
                     )
     return report(violations)
@@ -194,6 +213,7 @@ def verify_partition_v2(
     both verifiers share a calling convention.
     """
     del constraints
+    _require_declared(arch)
     violations = _membership_violations(arch, partition)
     violations += _boundary_violations(arch, partition, (Certified, Proof))
     violations += _unwrap_cell_violations(arch, partition)

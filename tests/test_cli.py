@@ -434,6 +434,19 @@ def test_unreadable_option_number_is_a_clean_error(capsys, tmp_path, value, mess
     assert err == f"error: line 3, col 20: {message}\n"
 
 
+def test_check_answers_a_term_nested_800_deep(capsys, tmp_path):
+    # Terms hash once at construction and compare without recursion, so a
+    # deep term is analysed rather than refused.
+    spec = tmp_path / "deep.parch"
+    spec.write_text(
+        "types A;\nagent S holds a: A, f: A -> A;\nagent B;\nchannel S -> B : A;\n"
+    )
+    trace = tmp_path / "deep.trace"
+    trace.write_text("S -> B : " + "f(" * 800 + "a" + ")" * 800 + " : A;\n")
+    code, out, err = run(capsys, "check", str(spec), str(trace))
+    assert (code, out, err) == (0, "valid trace (1 events)\ncompliant\n", "")
+
+
 def test_deeply_nested_term_is_a_clean_error(capsys, tmp_path):
     spec = tmp_path / "deep.parch"
     spec.write_text(

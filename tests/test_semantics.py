@@ -28,7 +28,9 @@ from privarch import (
     derives,
     generation_decompose,
     infer_type,
+    parse_trace,
     possession_closure,
+    print_trace,
     term_size,
 )
 
@@ -137,6 +139,28 @@ def test_unknown_agent_is_structural(coppa):
 def test_ill_typed_event_term_is_structural(coppa):
     with pytest.raises(EventTypeError):
         check_trace_valid(coppa, [ev(CHILD, Con("info"), CONSENT, WEBSITE)])
+
+
+def test_repeated_term_at_a_wrong_type_names_the_later_event(coppa):
+    # The type table answers the second event from the first; the error must
+    # still name the event that declares the wrong type.
+    info = Con("info")
+    events = [ev(CHILD, info, INFO, WEBSITE), ev(CHILD, info, CONSENT, WEBSITE)]
+    with pytest.raises(EventTypeError) as exc:
+        check_trace_valid(coppa, events)
+    assert str(exc.value) == "event 1: term info has type INFO, not CONSENT"
+
+
+def test_repeated_ill_typed_term_fails_at_its_first_occurrence(coppa):
+    bad = apply("info", [Con("info")])
+    events = [
+        ev(CHILD, Con("info"), INFO, WEBSITE),
+        ev(CHILD, bad, INFO, WEBSITE),
+        ev(CHILD, bad, INFO, WEBSITE),
+    ]
+    with pytest.raises(EventTypeError) as exc:
+        check_trace_valid(coppa, events)
+    assert str(exc.value) == "event 1: applied non-function info : INFO"
 
 
 def test_event_str_form(coppa):
@@ -367,6 +391,45 @@ def test_delivery_index_matches_reference_random():
                         arch, prefix, agent, term, generation_decompose
                     ) == _decomposition(arch, prefix, agent, term, reference_decompose)
     assert corrupted >= 30
+
+
+def _structural_error(check, arch, events):
+    """The verdict, or the event index a structural error names."""
+    try:
+        return _verdict(check(arch, events))
+    except EventTypeError as exc:
+        return ("structural", str(exc).split(":")[0])
+
+
+def test_parsed_traces_match_reference_random():
+    # Traces that went through print_trace and parse_trace share one object
+    # per distinct payload and subterm, so the checker's per-term tables are
+    # hit by identity; the verdicts must not change.
+    rng = random.Random(0x7AB1E)
+    corrupted = mistyped = 0
+    for case in range(120):
+        arch = mk_architecture(rng)
+        events = mk_valid_trace(rng, arch, max_len=4 if case % 3 == 0 else 14)
+        variants = [events]
+        bad = corrupt_event(rng, arch, events)
+        if bad is not None:
+            variants.append(bad[1])
+            corrupted += 1
+        if events:
+            j = rng.randrange(len(events))
+            e = events[j]
+            wrong = [t for t in arch.type_system.atomic_types if t != e.msg_type]
+            if wrong:
+                retyped = Event(e.sender, e.term, rng.choice(sorted(wrong, key=str)), e.receiver)
+                variants.append(events[:j] + [retyped] + events[j + 1 :])
+                mistyped += 1
+        for variant in variants:
+            parsed = parse_trace(print_trace(variant), arch)
+            assert list(parsed) == variant
+            assert _structural_error(check_trace_valid, arch, parsed) == _structural_error(
+                reference_check_trace_valid, arch, parsed
+            ), (case, print_trace(variant))
+    assert corrupted >= 40 and mistyped >= 40
 
 
 def test_decompose_reads_an_argument_at_its_first_delivery():

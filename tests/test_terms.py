@@ -139,6 +139,35 @@ def test_term_printing_and_size():
     assert parse_term(term_to_str(term)) == term
 
 
+def test_deep_terms_hash_and_compare_without_recursion():
+    def chain(depth):
+        t = Con("a")
+        for _ in range(depth):
+            t = App(Con("f"), t)
+        return t
+
+    left, right = chain(5000), chain(5000)
+    assert left is not right
+    assert hash(left) == hash(right)
+    assert left == right
+    assert term_size(left) == 5001
+    assert left != App(Con("g"), chain(4999))
+    assert left != chain(4999)
+
+
+def test_terms_are_immutable_and_match_structurally():
+    term = apply("m", [Con("a"), Con("b")])
+    with pytest.raises(AttributeError):
+        term.arg = Con("c")
+    match term:
+        case App(App(Con(head), first), second):
+            assert (head, first, second) == ("m", Con("a"), Con("b"))
+        case _:
+            pytest.fail("App no longer matches positionally")
+    assert term != Con("m") and Con("m") != term
+    assert {term: 1}[apply("m", [Con("a"), Con("b")])] == 1
+
+
 def test_uncurry_and_apply_are_inverse():
     args = [Con("consent"), Con("policy")]
     term = apply("m", args)

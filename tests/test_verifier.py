@@ -19,8 +19,11 @@ from privarch import (
     Partition,
     Proof,
     TypeSystem,
+    UnknownConstructor,
+    build_safe_architecture_v1,
     canonical_partition,
     make_signature,
+    parse_spec,
     proof_maker_form,
     unwrapper_form,
     verify_partition_v1,
@@ -115,6 +118,26 @@ def test_relaxed_architecture_fails_proof_channel_premise(relaxed_v2):
     assert codes == {"p5-proof-channel"}
     subjects = {v.subject[0] for v in rep.violations}
     assert subjects == {"O:Parent", "O:Website"}
+
+
+@pytest.mark.parametrize("verify", [verify_partition_v1, verify_partition_v2])
+def test_undeclared_holding_raises_the_first_in_sorted_order(verify):
+    # Y sorts after X, so X's smallest undeclared name is raised although
+    # Y's names sort earlier; set order must not decide which one.
+    x, y = AgentId("X"), AgentId("Y")
+    ts = TypeSystem.build([INFO], [ConstructorDecl("info", INFO)])
+    arch = Architecture.build(
+        ts,
+        [x, y],
+        {
+            x: {"info", *(f"zeta{i:02}" for i in range(10))},
+            y: {f"alpha{i:02}" for i in range(10)},
+        },
+        {(x, y): {INFO}},
+    )
+    with pytest.raises(UnknownConstructor) as exc:
+        verify(arch, canonical_partition(arch.agents), [])
+    assert exc.value.args == ("zeta00",)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +244,30 @@ def test_extra_trigger_constructor_detected_v1(safe_v1, coppa_v1_doc):
         v.code == "p4-target" and v.subject == ("Website", "backdoor", "INFO")
         for v in rep.violations
     )
+
+
+def test_shared_subject_and_trigger_reported_once_v1():
+    # Two creation constraints with the same subject and trigger share one
+    # p4 check, so the extra constructor is reported on one line.
+    doc = parse_spec(
+        "types CONSENT, INFO, POLICY;\n"
+        "agent Child holds info: INFO;\n"
+        "agent Parent holds consent: CONSENT;\n"
+        "agent Website holds policy: POLICY;\n"
+        "channel Child -> Website : INFO;\n"
+        "channel Parent -> Website : CONSENT;\n"
+        "channel Website -> Parent : POLICY;\n"
+        "constraint Website ni INFO => CONSENT;\n"
+        "constraint Website ni INFO => POLICY;\n"
+        "option algorithm = 1;\n"
+    )
+    safe = build_safe_architecture_v1(doc.architecture, doc.constraints, doc.options)
+    mutated = with_extra_ctor(safe.arch, "backdoor", INFO, WEBSITE)
+    rep = verify_partition_v1(mutated, safe.canonical_partition, doc.constraints)
+    assert rep.lines() == [
+        "[p4-target] Website in Website's cell holds backdoor targeting INFO, "
+        "which is not that cell's unwrapper",
+    ]
 
 
 def test_trigger_constructor_outside_subject_cell_is_fine_v1(safe_v1, coppa_v1_doc):
