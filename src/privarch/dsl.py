@@ -1,7 +1,7 @@
 """Text format for architectures, traces, partitions, and grant lists.
 
 The format is statement-oriented: `#` starts a comment, every statement ends
-with `;` and may span lines. A spec document holds four statement kinds:
+with `;` and may span lines. A spec document holds five statement kinds:
 
     types INFO, POLICY, C[Website](INFO);
     agent Website holds policy: POLICY;
@@ -16,14 +16,27 @@ Constraint forms mirror their printed shapes: `X ni A => B` (no creation),
 `X ni A => Y ni B` (no possession), `pos(X, A)` (reachability goal) and
 `local I -> O : T prev X` (gated send).
 
-Parsing is two-pass: statements are tokenized and shaped first (ParseError),
-then names are resolved against the declarations (ResolveError). Both errors
-carry one-based line and column. Tokens are plain strings from one regular
-expression pass and the parser keeps token indices; positions are found on
-the error path, by scanning the text again up to the offending token.
-Each call keeps its own tables, keyed by token tuples, so a channel type
-list or trace payload that repeats is parsed and resolved once; a table
-fills only after a successful parse, so every error keeps its position.
+A spec is parsed in two passes. Its statements are split off and shaped
+first, one after another in document order (ParseError, and ResolveError for
+a duplicate declaration); names are then resolved against the declarations
+(ResolveError). Constraint statements are scanned in the first pass but
+shaped in the second, as their names resolve. Traces, partitions and grant
+lists resolve each statement's names once it is shaped. Both errors carry
+one-based line and column. Before resolution, an error blames the first
+statement that cannot be read: a stray character, a shape error, an empty
+statement or a duplicate there comes before anything later in the document,
+a missing final `;` included.
+
+One regular expression splits the text at each `;` outside a comment. A
+statement's leading tokens are scanned one at a time, with their offsets;
+the rest is scanned in one `tokenize` batch only when the parser is about to
+read it, and offsets inside a batch are found again only on the error path.
+A channel type list, or a trace event's `term : TYPE`, is keyed by its raw
+text, from its first token to the end of the statement: a repeat is neither
+scanned nor parsed again, and a repeated list is resolved once. Each call
+keeps its own tables, which fill only after a successful parse, so every
+error keeps its position.
+
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
 """
@@ -33,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .architecture import (
     Architecture,
@@ -101,6 +114,11 @@ _TOKEN = r"->|=>|[\[\](),:;=]|(?:[IO]:(?=[^\W\d]))?[^\W\d]\w*|\d+"
 # pattern avoids possessive and atomic forms, which Python 3.10 lacks.
 _SCAN = re.compile(rf"(?:{_BLANKS})*({_TOKEN}|[^ \t\r\n])?")
 _PUNCT = frozenset(("->", "=>", *"[](),:;="))
+# One statement and its `;`, where a `#` comment runs to the end of its line
+# and may hold `;`; with no `;` left, the rest of the text and an empty group.
+# Every way the loop can go ends at `;` or at the end of the text, so a match
+# never backtracks (`...*;` alone would, exponentially in the `#`s of a tail).
+_STATEMENT = re.compile(r"[^;#]*(?:#[^\n]*[^;#]*)*(;|\Z)")
 
 
 def _bad_offset(tok: str) -> int:
@@ -110,10 +128,10 @@ def _bad_offset(tok: str) -> int:
     return -1 if tok in _PUNCT or ch.isalpha() or ch == "_" or ch.isdecimal() else k
 
 
-def tokenize(text: str) -> list[str]:
-    """The token texts of `text`, in order. Raises ParseError at the first
-    character that starts no token."""
-    tokens = _SCAN.findall(text)
+def tokenize(text: str, start: int = 0, stop: int | None = None) -> list[str]:
+    """The token texts of `text[start:stop]`, in order. Raises ParseError at
+    the first character that starts no token."""
+    tokens = _SCAN.findall(text, start, len(text) if stop is None else stop)
     while tokens and not tokens[-1]:  # matches that only skip trailing blanks
         tokens.pop()
     # A stray character comes back as a token of its own, and `[^\W\d]`
@@ -123,15 +141,26 @@ def tokenize(text: str) -> list[str]:
     if bad:
         i = min(map(tokens.index, bad))
         k = _bad_offset(tokens[i])
-        raise ParseError(f"unexpected character {tokens[i][k]!r}", *_where(text, i, k))
+        raise _stray(text, tokens[i], k, _where_offset(text, i, start) + k)
     return tokens
 
 
-def _where(text: str, i: int, offset: int = 0) -> tuple[int, int]:
-    """One-based line and column of token `i` of `text` (plus `offset`
-    characters), found by scanning the text again. Only errors ask."""
-    pos = next(islice(_SCAN.finditer(text), i, None)).start(1) + offset
+def _stray(text: str, tok: str, k: int, pos: int) -> ParseError:
+    return ParseError(f"unexpected character {tok[k]!r}", *_line_col(text, pos))
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _where_offset(text: str, i: int, start: int) -> int:
+    return next(islice(_SCAN.finditer(text, start), i, None)).start(1)
+
+
+def _where(text: str, i: int, start: int = 0) -> tuple[int, int]:
+    """One-based line and column of token `i` of the text from `start` on,
+    found by scanning it again. Only errors ask."""
+    return _line_col(text, _where_offset(text, i, start))
 
 
 def _kind(tok: str) -> str:
@@ -142,34 +171,76 @@ def _kind(tok: str) -> str:
 
 
 class _Stream:
-    """One statement: the window [pos, end) of its document's token list.
-    Parsers keep token indices and turn one into a position only to raise."""
+    """One statement: the characters [start, stop) of its document. Tokens
+    are scanned one at a time, with their offsets, as the parser reads them,
+    until `rest` scans the remainder in one `tokenize` batch; offsets in the
+    batch are found again only to raise. Parsers keep token indices."""
 
-    __slots__ = ("text", "tokens", "pos", "end")
+    __slots__ = ("text", "stop", "scan", "batch", "tokens", "offsets", "pos")
 
-    def __init__(self, text: str, tokens: list[str], pos: int = 0, end: int | None = None):
+    def __init__(self, text: str, start: int = 0, stop: int | None = None):
         self.text = text
-        self.tokens = tokens
-        self.pos = pos
-        self.end = len(tokens) if end is None else end
+        self.stop = len(text) if stop is None else stop
+        self.scan = start  # where the next token is scanned from
+        self.batch = -1  # where `rest` began scanning, once it has
+        self.tokens: list[str] = []
+        self.offsets: list[int] = []  # of the tokens scanned one at a time
+        self.pos = 0
+
+    def _more(self) -> bool:
+        """Scan one more token ahead of the batch; False at the end."""
+        if self.batch >= 0:
+            return False
+        m = _SCAN.match(self.text, self.scan, self.stop)
+        self.scan = m.end()
+        tok = m.group(1)
+        if tok is None:
+            return False
+        k = _bad_offset(tok)
+        if k >= 0:
+            raise _stray(self.text, tok, k, m.start(1) + k)
+        self.tokens.append(tok)
+        self.offsets.append(m.start(1))
+        return True
+
+    def rest(self) -> None:
+        """Scan the rest of the statement in one batch."""
+        if self.batch < 0:
+            self.batch = self.scan
+            self.tokens += tokenize(self.text, self.scan, self.stop)
+
+    def raw_rest(self) -> str:
+        """The text from the next token to the end of the statement, taken
+        before `rest`: equal texts read the same, wherever they stand."""
+        if self.peek() is None:
+            return ""
+        return self.text[self.offsets[self.pos] : self.stop]
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < self.end else None
+        if self.pos < len(self.tokens) or self._more():
+            return self.tokens[self.pos]
+        return None
+
+    def where(self, i: int) -> tuple[int, int]:
+        lead = len(self.offsets)
+        if i < lead:
+            return _line_col(self.text, self.offsets[i])
+        return _where(self.text, i - lead, self.batch)
 
     def error(self, cls: type[DslError], message: str, i: int) -> DslError:
-        return cls(message, *_where(self.text, i))
+        return cls(message, *self.where(i))
 
     def _fail(self, message: str) -> ParseError:
         tok = self.peek()
         got = "end of statement" if tok is None else repr(tok)
-        if self.end == 0:
+        if not self.tokens:
             return ParseError(f"{message}, got {got}", 1, 1)
-        return self.error(ParseError, f"{message}, got {got}", min(self.pos, self.end - 1))
+        return self.error(ParseError, f"{message}, got {got}", min(self.pos, len(self.tokens) - 1))
 
     def expect(self, text: str) -> int:
         """Consume the token `text` and return its index."""
         i = self.pos
-        if i >= self.end or self.tokens[i] != text:
+        if not ((i < len(self.tokens) or self._more()) and self.tokens[i] == text):
             raise self._fail(f"expected {text!r}")
         self.pos = i + 1
         return i
@@ -177,38 +248,43 @@ class _Stream:
     def expect_kind(self, kind: str) -> int:
         """Consume an IDENT or NUMBER token and return its index."""
         i = self.pos
-        if i >= self.end or _kind(self.tokens[i]) != kind:
+        if not ((i < len(self.tokens) or self._more()) and _kind(self.tokens[i]) == kind):
             raise self._fail(f"expected {kind}")
         self.pos = i + 1
         return i
 
     def accept(self, text: str) -> bool:
-        if self.pos < self.end and self.tokens[self.pos] == text:
-            self.pos += 1
+        i = self.pos
+        if (i < len(self.tokens) or self._more()) and self.tokens[i] == text:
+            self.pos = i + 1
             return True
         return False
 
     def done(self) -> None:
-        if self.pos < self.end:
-            raise self.error(ParseError, f"unexpected trailing {self.tokens[self.pos]!r}", self.pos)
+        tok = self.peek()
+        if tok is not None:
+            raise self.error(ParseError, f"unexpected trailing {tok!r}", self.pos)
 
 
-def _statements(text: str, tokens: list[str]) -> list[_Stream]:
-    """Every `;`-terminated statement, all found before any is parsed."""
-    out: list[_Stream] = []
-    start, n = 0, len(tokens)
-    while start < n:
-        try:
-            end = tokens.index(";", start)
-        except ValueError:
-            raise ParseError(
-                "statement is missing its terminating ';'", *_where(text, n - 1)
-            ) from None
-        if end == start:
-            raise ParseError("empty statement", *_where(text, end))
-        out.append(_Stream(text, tokens, start, end))
-        start = end + 1
-    return out
+def _statements(text: str) -> Iterator[_Stream]:
+    """The `;`-terminated statements of `text`, in document order. Each is
+    split off when the one before it has been read, so the first statement
+    that cannot be read is the one an error blames."""
+    pos = 0
+    while True:
+        m = _STATEMENT.match(text, pos)
+        if not m.group(1):
+            break
+        ts = _Stream(text, pos, m.end() - 1)
+        if ts.peek() is None:
+            raise ParseError("empty statement", *_line_col(text, m.end() - 1))
+        yield ts
+        pos = m.end()
+    tail = tokenize(text, pos)
+    if tail:
+        raise ParseError(
+            "statement is missing its terminating ';'", *_where(text, len(tail) - 1, pos)
+        )
 
 
 # --- shared grammar pieces ---------------------------------------------------
@@ -281,7 +357,8 @@ def _parse_term(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> TermExpr:
 
 def parse_term(text: str) -> TermExpr:
     """Parse one prefix-notation term, e.g. `pi[X,A](m[X,A](payload))`."""
-    ts = _Stream(text, tokenize(text))
+    ts = _Stream(text)
+    ts.rest()
     term = _parse_term(ts, {})
     ts.done()
     return term
@@ -289,7 +366,8 @@ def parse_term(text: str) -> TermExpr:
 
 def parse_type(text: str) -> AtomicType:
     """Parse one atomic type, e.g. `INFO` or `C[Website](INFO)`."""
-    ts = _Stream(text, tokenize(text))
+    ts = _Stream(text)
+    ts.rest()
     ty, _ = _parse_type(ts)
     ts.done()
     return ty
@@ -332,29 +410,48 @@ class SpecDocument:
 
 
 def parse_spec(text: str) -> SpecDocument:
-    tokens = tokenize(text)
-    declared_types: dict[AtomicType, int] = {}
+    declared_types: set[AtomicType] = set()
     agents: dict[str, AgentId] = {}
     holdings: dict[AgentId, set[str]] = {}
-    ctor_sigs: dict[str, tuple[TypeExpr, int]] = {}
+    ctor_sigs: dict[str, tuple[TypeExpr, _Stream, int]] = {}
     channel_types: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
-    # Each distinct type list, keyed by its tokens, and the channels naming it.
-    type_lists: dict[tuple[str, ...], int] = {}
-    list_entries: list[list[tuple[AtomicType, int]]] = []
-    raw_channels: list[tuple[int, int, int]] = []
+    # Each distinct type list, keyed by its raw text, and the channels naming
+    # it. A list's entries keep the statement they were read from.
+    type_lists: dict[str, int] = {}
+    list_entries: list[tuple[_Stream, list[tuple[AtomicType, int]]]] = []
+    raw_channels: list[tuple[_Stream, int, int, int]] = []
     raw_constraints: list[_Stream] = []
-    raw_holds: list[tuple[str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
-    options: dict[str, tuple[int, int]] = {}
+    raw_holds: list[tuple[_Stream, str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
+    options: dict[str, tuple[int, _Stream, int]] = {}
 
-    for ts in _statements(text, tokens):
+    for ts in _statements(text):
+        tokens = ts.tokens
         head = ts.expect_kind(IDENT)
         keyword = tokens[head]
+        if keyword == "channel":
+            sender = ts.expect_kind(IDENT)
+            ts.expect("->")
+            receiver = ts.expect_kind(IDENT)
+            ts.expect(":")
+            key = ts.raw_rest()
+            k = type_lists.get(key)
+            if k is None:
+                ts.rest()
+                entries = [_parse_type(ts)]
+                while ts.accept(","):
+                    entries.append(_parse_type(ts))
+                ts.done()
+                k = type_lists[key] = len(list_entries)
+                list_entries.append((ts, entries))
+            raw_channels.append((ts, sender, receiver, k))
+            continue
+        ts.rest()
         if keyword == "types":
             while True:
                 ty, i = _parse_type(ts)
                 if ty in declared_types:
                     raise ts.error(ResolveError, f"duplicate type {type_name(ty)}", i)
-                declared_types[ty] = i
+                declared_types.add(ty)
                 if not ts.accept(","):
                     break
             ts.done()
@@ -364,7 +461,7 @@ def parse_spec(text: str) -> SpecDocument:
             if name in agents:
                 raise ts.error(ResolveError, f"duplicate agent {name}", name_i)
             agents[name] = _agent_id(ts, name_i)
-            entries: list[tuple[str, int, list[tuple[AtomicType, int]]]] = []
+            holds: list[tuple[str, int, list[tuple[AtomicType, int]]]] = []
             if ts.accept("holds"):
                 while True:
                     ctor, ctor_i = _parse_ctor_name(ts)
@@ -372,26 +469,11 @@ def parse_spec(text: str) -> SpecDocument:
                     parts = [_parse_type(ts)]
                     while ts.accept("->"):
                         parts.append(_parse_type(ts))
-                    entries.append((ctor, ctor_i, parts))
+                    holds.append((ctor, ctor_i, parts))
                     if not ts.accept(","):
                         break
             ts.done()
-            raw_holds.append((name, entries))
-        elif keyword == "channel":
-            sender = ts.expect_kind(IDENT)
-            ts.expect("->")
-            receiver = ts.expect_kind(IDENT)
-            ts.expect(":")
-            key = tuple(tokens[ts.pos : ts.end])
-            k = type_lists.get(key)
-            if k is None:
-                entries = [_parse_type(ts)]
-                while ts.accept(","):
-                    entries.append(_parse_type(ts))
-                ts.done()
-                k = type_lists[key] = len(list_entries)
-                list_entries.append(entries)
-            raw_channels.append((sender, receiver, k))
+            raw_holds.append((ts, name, holds))
         elif keyword == "constraint":
             raw_constraints.append(ts)
         elif keyword == "option":
@@ -406,7 +488,7 @@ def parse_spec(text: str) -> SpecDocument:
                 value = int(digits)
             except ValueError:  # past the interpreter's digit limit
                 raise ts.error(ParseError, f"number too long ({len(digits)} digits)", value_i) from None
-            options[name] = (value, name_i)
+            options[name] = (value, ts, name_i)
         else:
             raise ts.error(
                 ParseError,
@@ -415,51 +497,53 @@ def parse_spec(text: str) -> SpecDocument:
                 head,
             )
 
-    def require_type(ty: AtomicType, i: int) -> AtomicType:
+    def require_type(ts: _Stream, ty: AtomicType, i: int) -> AtomicType:
         if ty not in declared_types:
-            raise ResolveError(f"undeclared type {type_name(ty)}", *_where(text, i))
+            raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", i)
         return ty
 
-    def require_agent(i: int) -> AgentId:
-        agent = agents.get(tokens[i])
+    def require_agent(ts: _Stream, i: int) -> AgentId:
+        agent = agents.get(ts.tokens[i])
         if agent is None:
-            raise ResolveError(f"undeclared agent {tokens[i]}", *_where(text, i))
+            raise ts.error(ResolveError, f"undeclared agent {ts.tokens[i]}", i)
         return agent
 
     # Constructors: every declaration site must agree on the signature.
-    for name, entries in raw_holds:
+    for ts, name, holds in raw_holds:
         agent = agents[name]
         mine = holdings.setdefault(agent, set())
-        for ctor, ctor_i, parts in entries:
+        for ctor, ctor_i, parts in holds:
             for ty, i in parts:
-                require_type(ty, i)
+                require_type(ts, ty, i)
             sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
             known = ctor_sigs.get(ctor)
             if known is not None and known[0] != sig:
-                first_line, _ = _where(text, known[1])
-                raise ResolveError(
+                first_line, _ = known[1].where(known[2])
+                raise ts.error(
+                    ResolveError,
                     f"constructor {ctor} redeclared with a different signature "
                     f"(first declared at line {first_line})",
-                    *_where(text, ctor_i),
+                    ctor_i,
                 )
             if known is None:
-                ctor_sigs[ctor] = (sig, ctor_i)
+                ctor_sigs[ctor] = (sig, ts, ctor_i)
             if ctor in mine:
-                raise ResolveError(
-                    f"agent {agent.name} lists constructor {ctor} twice", *_where(text, ctor_i)
+                raise ts.error(
+                    ResolveError, f"agent {agent.name} lists constructor {ctor} twice", ctor_i
                 )
             mine.add(ctor)
 
     # A list is resolved where it first occurs, so an error names that site.
     list_types: list[frozenset[AtomicType] | None] = [None] * len(list_entries)
-    for sender_i, receiver_i, k in raw_channels:
-        sender = require_agent(sender_i)
-        receiver = require_agent(receiver_i)
+    for ts, sender_i, receiver_i, k in raw_channels:
+        sender = require_agent(ts, sender_i)
+        receiver = require_agent(ts, receiver_i)
         if sender == receiver:
-            raise ResolveError(f"channel from {sender.name} to itself", *_where(text, sender_i))
+            raise ts.error(ResolveError, f"channel from {sender.name} to itself", sender_i)
         types = list_types[k]
         if types is None:
-            types = list_types[k] = frozenset(require_type(ty, i) for ty, i in list_entries[k])
+            first, entries = list_entries[k]
+            types = list_types[k] = frozenset(require_type(first, ty, i) for ty, i in entries)
         pair = (sender, receiver)
         known = channel_types.get(pair)
         channel_types[pair] = types if known is None else known | types
@@ -471,40 +555,40 @@ def parse_spec(text: str) -> SpecDocument:
             if ts.peek() == "pos":
                 ts.expect("pos")
                 ts.expect("(")
-                subject = require_agent(ts.expect_kind(IDENT))
+                subject = require_agent(ts, ts.expect_kind(IDENT))
                 ts.expect(",")
                 ty, i = _parse_type(ts)
                 ts.expect(")")
                 ts.done()
-                constraints.append(Positive(subject, require_type(ty, i)))
+                constraints.append(Positive(subject, require_type(ts, ty, i)))
             elif ts.peek() == "local":
                 ts.expect("local")
-                sender = require_agent(ts.expect_kind(IDENT))
+                sender = require_agent(ts, ts.expect_kind(IDENT))
                 ts.expect("->")
-                receiver = require_agent(ts.expect_kind(IDENT))
+                receiver = require_agent(ts, ts.expect_kind(IDENT))
                 ts.expect(":")
                 ty, i = _parse_type(ts)
                 ts.expect("prev")
-                prev = require_agent(ts.expect_kind(IDENT))
+                prev = require_agent(ts, ts.expect_kind(IDENT))
                 ts.done()
-                constraints.append(LocalSend(sender, require_type(ty, i), receiver, prev))
+                constraints.append(LocalSend(sender, require_type(ts, ty, i), receiver, prev))
             else:
-                subject = require_agent(ts.expect_kind(IDENT))
+                subject = require_agent(ts, ts.expect_kind(IDENT))
                 ts.expect("ni")
                 trig, trig_i = _parse_type(ts)
                 ts.expect("=>")
                 mark = ts.pos
                 holder_i = ts.expect_kind(IDENT)
                 if ts.accept("ni"):
-                    holder = require_agent(holder_i)
+                    holder = require_agent(ts, holder_i)
                     req, req_i = _parse_type(ts)
                     ts.done()
                     constraints.append(
                         NegPossess(
                             subject,
-                            require_type(trig, trig_i),
+                            require_type(ts, trig, trig_i),
                             holder,
-                            require_type(req, req_i),
+                            require_type(ts, req, req_i),
                         )
                     )
                 else:
@@ -514,28 +598,28 @@ def parse_spec(text: str) -> SpecDocument:
                     constraints.append(
                         NegCreate(
                             subject,
-                            require_type(trig, trig_i),
-                            require_type(req, req_i),
+                            require_type(ts, trig, trig_i),
+                            require_type(ts, req, req_i),
                         )
                     )
         except ConstraintError as exc:
             raise ts.error(ResolveError, str(exc), first) from exc
 
     config = SynthesisConfig()
-    for name, (value, i) in options.items():
+    for name, (value, ts, i) in options.items():
         if name == "algorithm":
             if value not in (1, 2):
-                raise ResolveError("algorithm must be 1 or 2", *_where(text, i))
+                raise ts.error(ResolveError, "algorithm must be 1 or 2", i)
             config = replace(config, algorithm=value)
         elif name == "m_family_cap":
             if value < 1:
-                raise ResolveError("m_family_cap must be positive", *_where(text, i))
+                raise ts.error(ResolveError, "m_family_cap must be positive", i)
             config = replace(config, m_family_cap=value)
         else:
-            raise ResolveError(f"unknown option {name}", *_where(text, i))
+            raise ts.error(ResolveError, f"unknown option {name}", i)
 
     type_system = TypeSystem.build(declared_types, (
-        ConstructorDecl(name, sig) for name, (sig, _) in ctor_sigs.items()
+        ConstructorDecl(name, sig) for name, (sig, _, _) in ctor_sigs.items()
     ))
     arch = Architecture.build(type_system, agents.values(), holdings, channel_types)
     report = validate_architecture(arch)
@@ -594,20 +678,20 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     """Each statement is `Sender -> Receiver : term : TYPE;`. Agents must
     exist in the architecture; terms are resolved structurally and validated
     later by the trace checker."""
-    tokens = tokenize(text)
     events: list[Event] = []
-    # Each distinct `term : TYPE`, keyed by its tokens; agents resolve per event.
-    payloads: dict[tuple[str, ...], tuple[TermExpr, AtomicType]] = {}
+    # Each distinct `term : TYPE`, keyed by its raw text; agents resolve per event.
+    payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     # Equal subterms of different payloads are one object too.
     shared: dict[TermExpr, TermExpr] = {}
-    for ts in _statements(text, tokens):
+    for ts in _statements(text):
         sender_i = ts.expect_kind(IDENT)
         ts.expect("->")
         receiver_i = ts.expect_kind(IDENT)
         ts.expect(":")
-        key = tuple(tokens[ts.pos : ts.end])
+        key = ts.raw_rest()
         payload = payloads.get(key)
         if payload is None:
+            ts.rest()
             term = _parse_term(ts, shared)
             ts.expect(":")
             ty, _ = _parse_type(ts)
@@ -634,9 +718,9 @@ def print_trace(trace: Trace) -> str:
 
 def parse_partition(text: str, arch: Architecture) -> Partition:
     """Each statement is `cell Owner: member, member;`."""
-    tokens = tokenize(text)
     owner_map: dict[AgentId, AgentId] = {}
-    for ts in _statements(text, tokens):
+    for ts in _statements(text):
+        ts.rest()
         ts.expect("cell")
         owner_i = ts.expect_kind(IDENT)
         ts.expect(":")
@@ -671,9 +755,9 @@ def print_partition(partition: Partition) -> str:
 
 def parse_grants(text: str, arch: Architecture) -> tuple[Grant, ...]:
     """Each statement is `grant I:Owner -> O:Owner : TYPE;`."""
-    tokens = tokenize(text)
     grants: list[Grant] = []
-    for ts in _statements(text, tokens):
+    for ts in _statements(text):
+        ts.rest()
         ts.expect("grant")
         input_i = ts.expect_kind(IDENT)
         ts.expect("->")

@@ -18,6 +18,7 @@ from privarch import (
     SpecDocument,
     UnknownAgent,
     apply,
+    build_safe_architecture_v2,
     canonical_partition,
     parse_grants,
     parse_partition,
@@ -176,6 +177,13 @@ def test_missing_terminator_position():
     assert "terminating" in str(e)
 
 
+def test_semicolon_in_a_comment_does_not_end_a_statement():
+    doc = parse_spec("types A; # one; two\nagent X # holds; nothing\n holds a: A;")
+    assert print_spec(doc) == "types A;\n\nagent X holds a: A;\n"
+    e = err(ParseError, "types A;\nagent X # done;\n")
+    assert str(e) == "line 2, col 7: statement is missing its terminating ';'"
+
+
 def test_empty_statement_position():
     e = err(ParseError, "types A;;")
     assert (e.line, e.col) == (1, 9)
@@ -277,6 +285,24 @@ def test_algorithm_option_range_checked():
             "types A;\nagent X\n# trailing comment\n",
             2, 7, "statement is missing its terminating ';'",
         ),
+        # The first statement that cannot be read is blamed: a shape error
+        # or a duplicate comes before a later stray character or a missing
+        # terminator.
+        (
+            ParseError,
+            "types A B;\nagent X holds a: A;\nagent Y$;",
+            1, 9, "unexpected trailing 'B'",
+        ),
+        (
+            ParseError,
+            "types A;\nagent X holds a A;\n# last\nagent Y",
+            2, 17, "expected ':', got 'A'",
+        ),
+        (
+            ResolveError,
+            "types A;\nagent X;\nagent X;\nagent Y holds y: A$;",
+            3, 7, "duplicate agent X",
+        ),
     ],
 )
 def test_spec_error_positions(kind, text, line, col, message):
@@ -316,6 +342,124 @@ def test_repeated_trace_payload_reports_the_failing_statement(coppa_doc):
             coppa_doc.architecture,
         )
     assert str(info.value) == "line 3, col 1: Ghost"
+
+
+# Repeated lists and payloads are keyed by their raw text, from their first
+# token to the end of the statement.
+
+
+def test_type_lists_spaced_differently_parse_alike():
+    head = "types A, B, C[X](A);\nagent X holds a: A, b: B;\nagent Y;\nagent Z;\n"
+    tight = head + "channel X -> Y : A,B,C[X](A);\nchannel Y -> Z : A,B,C[X](A);\n"
+    spaced = head + "channel X -> Y : A,B,C[X](A);\nchannel Y -> Z : A , B,\n\tC [X] (A) ;\n"
+    assert print_spec(parse_spec(spaced)) == print_spec(parse_spec(tight))
+
+
+def test_type_lists_differing_after_a_comment_are_read_apart():
+    arch = parse_spec(
+        "types A, B;\nagent X holds a: A, b: B;\nagent Y;\n"
+        "channel X -> Y : A # c\n;\nchannel Y -> X : A # c\n, B;"
+    ).architecture
+    x, y = arch.agent_named("X"), arch.agent_named("Y")
+    assert arch.channels[(x, y)] == {Base("A")}
+    assert arch.channels[(y, x)] == {Base("A"), Base("B")}
+
+
+def test_trace_payloads_differing_after_a_comment_are_read_apart(coppa_relaxed_doc):
+    trace = parse_trace(
+        "Child -> O:Child : info # c\n: INFO;\nChild -> O:Child : info # c\n(x) : INFO;",
+        coppa_relaxed_doc.architecture,
+    )
+    assert [term_to_str(e.term) for e in trace] == ["info", "info(x)"]
+
+
+class CountingScan:
+    """Stands in for `dsl._SCAN` and counts the tokens it hands out, one at
+    a time or in batch."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.tokens = 0
+
+    def match(self, *args):
+        m = self.pattern.match(*args)
+        self.tokens += m.group(1) is not None
+        return m
+
+    def findall(self, *args):
+        out = self.pattern.findall(*args)
+        self.tokens += sum(1 for tok in out if tok)
+        return out
+
+    def finditer(self, *args):
+        for m in self.pattern.finditer(*args):
+            self.tokens += m.group(1) is not None
+            yield m
+
+
+def test_parse_spec_scans_only_what_it_reads(monkeypatch, coppa_safe_doc):
+    # A synthesized spec repeats one long type list on most channel lines;
+    # a repeat is recognised by its text and never tokenized.
+    text = read_fixture("coppa_safe.parch")
+    total = len(dsl.tokenize(text))
+    scan = CountingScan(dsl._SCAN)
+    monkeypatch.setattr(dsl, "_SCAN", scan)
+    assert parse_spec(text) == coppa_safe_doc
+    assert 0 < scan.tokens < total / 3
+
+
+# Errors against the character-by-character tokenizer's positions, on
+# documents whose statements are read lazily, in batch and from a table.
+
+
+def synthesized_spec() -> str:
+    doc = mk_document(random.Random(0x5E7))
+    safe = build_safe_architecture_v2(doc.architecture, doc.constraints, doc.options)
+    return print_spec(SpecDocument.build(safe.arch, doc.constraints, doc.options))
+
+
+POSITION_INPUTS = {
+    "coppa_safe.parch": lambda: read_fixture("coppa_safe.parch"),
+    "synthesized": synthesized_spec,
+    "coppa_witness.trace": lambda: read_fixture("coppa_witness.trace"),
+}
+
+
+def offset_of(text, token):
+    """The offset of a reference token in `text`."""
+    return len("".join(text.splitlines(keepends=True)[: token.line - 1])) + token.col - 1
+
+
+@pytest.mark.parametrize("source", sorted(POSITION_INPUTS))
+def test_stray_character_is_blamed_where_it_stands(source, coppa_relaxed_doc):
+    text = POSITION_INPUTS[source]()
+    if source.endswith(".trace"):
+        def parse(t):
+            return parse_trace(t, coppa_relaxed_doc.architecture)
+    else:
+        parse = parse_spec
+    tokens = reference_tokenize(text)
+    rng = random.Random(0x57A)
+    for i in sorted(rng.sample(range(len(tokens)), 80)):
+        at = offset_of(text, tokens[i])
+        with pytest.raises(ParseError) as info:
+            parse(text[:at] + "$" + text[at:])
+        e = info.value
+        assert str(e) == f"line {tokens[i].line}, col {tokens[i].col}: unexpected character '$'"
+
+
+@pytest.mark.parametrize("source", ["coppa_safe.parch", "synthesized"])
+def test_undeclared_channel_agent_is_blamed_where_it_stands(source):
+    text = POSITION_INPUTS[source]()
+    tokens = reference_tokenize(text)
+    channels = [i for i, t in enumerate(tokens) if t.text == "channel"]
+    rng = random.Random(0xA6E)
+    for k in sorted(rng.sample(range(len(channels)), 12)):
+        # The sender of an even-numbered line, the receiver of an odd one.
+        name = tokens[channels[k] + 1 + 2 * (k % 2)]
+        at = offset_of(text, name)
+        e = err(ResolveError, text[:at] + "Nobody" + text[at + len(name.text) :])
+        assert str(e) == f"line {name.line}, col {name.col}: undeclared agent Nobody"
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +613,11 @@ def test_grant_unknown_agent_rejected(coppa_doc):
             parse_trace, ResolveError,
             "Child -> O:Child : info : INFO;\nO:Child -> I:Ghost : info : INFO;",
             2, 12, "I:Ghost",
+        ),
+        (
+            parse_trace, ParseError,
+            "Child -> O:Child : info INFO;\nParent -> O:Parent : consent : CONSENT$;",
+            1, 25, "expected ':', got 'INFO'",
         ),
         (
             parse_partition, ResolveError,
