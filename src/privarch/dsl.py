@@ -358,7 +358,6 @@ def _parse_term(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> TermExpr:
 def parse_term(text: str) -> TermExpr:
     """Parse one prefix-notation term, e.g. `pi[X,A](m[X,A](payload))`."""
     ts = _Stream(text)
-    ts.rest()
     term = _parse_term(ts, {})
     ts.done()
     return term
@@ -367,7 +366,6 @@ def parse_term(text: str) -> TermExpr:
 def parse_type(text: str) -> AtomicType:
     """Parse one atomic type, e.g. `INFO` or `C[Website](INFO)`."""
     ts = _Stream(text)
-    ts.rest()
     ty, _ = _parse_type(ts)
     ts.done()
     return ty
@@ -720,7 +718,6 @@ def parse_partition(text: str, arch: Architecture) -> Partition:
     """Each statement is `cell Owner: member, member;`."""
     owner_map: dict[AgentId, AgentId] = {}
     for ts in _statements(text):
-        ts.rest()
         ts.expect("cell")
         owner_i = ts.expect_kind(IDENT)
         ts.expect(":")
@@ -757,7 +754,6 @@ def parse_grants(text: str, arch: Architecture) -> tuple[Grant, ...]:
     """Each statement is `grant I:Owner -> O:Owner : TYPE;`."""
     grants: list[Grant] = []
     for ts in _statements(text):
-        ts.rest()
         ts.expect("grant")
         input_i = ts.expect_kind(IDENT)
         ts.expect("->")

@@ -426,8 +426,8 @@ POSITION_INPUTS = {
 
 
 def offset_of(text, token):
-    """The offset of a reference token in `text`."""
-    return len("".join(text.splitlines(keepends=True)[: token.line - 1])) + token.col - 1
+    """The offset of a reference token in `text`; lines end at '\\n' only."""
+    return sum(len(line) + 1 for line in text.split("\n")[: token.line - 1]) + token.col - 1
 
 
 @pytest.mark.parametrize("source", sorted(POSITION_INPUTS))
@@ -444,8 +444,7 @@ def test_stray_character_is_blamed_where_it_stands(source, coppa_relaxed_doc):
         at = offset_of(text, tokens[i])
         with pytest.raises(ParseError) as info:
             parse(text[:at] + "$" + text[at:])
-        e = info.value
-        assert str(e) == f"line {tokens[i].line}, col {tokens[i].col}: unexpected character '$'"
+        assert str(info.value) == f"line {tokens[i].line}, col {tokens[i].col}: unexpected character '$'"
 
 
 @pytest.mark.parametrize("source", ["coppa_safe.parch", "synthesized"])
