@@ -41,11 +41,15 @@ class InvalidArchitecture(ArchitectureError):
 
 @dataclass(frozen=True)
 class AgentId:
+    """An agent's name, kind and owner. The hash is stored when the agent is
+    built, as `App` stores its own, since agents key most lookups."""
+
     name: str
     kind: str = ORIGINAL
     owner: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.owner)))
         if self.kind == ORIGINAL:
             if self.owner is not None:
                 raise ArchitectureError(f"original agent {self.name} cannot have an owner")
@@ -58,6 +62,14 @@ class AgentId:
                 )
         else:
             raise ArchitectureError(f"unknown agent kind: {self.kind}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes, so an unpickled agent
+        # computes its own.
+        return (AgentId, (self.name, self.kind, self.owner))
 
     @staticmethod
     def interface_of(owner: "AgentId") -> "AgentId":

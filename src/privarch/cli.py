@@ -13,6 +13,7 @@ positive goal without a witness), 2 for usage, parse, and domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -292,6 +293,9 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parsing leaves the parser as it was, and in-process
+# callers such as the benchmark call `main` many times.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privarch",

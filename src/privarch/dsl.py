@@ -27,15 +27,28 @@ statement that cannot be read: a stray character, a shape error, an empty
 statement or a duplicate there comes before anything later in the document,
 a missing final `;` included.
 
-One regular expression splits the text at each `;` outside a comment. A
-statement's leading tokens are scanned one at a time, with their offsets;
-the rest is scanned in one `tokenize` batch only when the parser is about to
-read it, and offsets inside a batch are found again only on the error path.
-A channel type list, or a trace event's `term : TYPE`, is keyed by its raw
-text, from its first token to the end of the statement: a repeat is neither
-scanned nor parsed again, and a repeated list is resolved once. Each call
-keeps its own tables, which fill only after a successful parse, so every
-error keeps its position.
+Two readers share the work, and which one reads a statement depends only on
+its spelling. A statement in the printed form (`print_spec`, `print_trace`:
+single spaces, ASCII names, no comment) of a `types`, `agent` or `channel`
+statement or a trace event is read with one pattern match; its compact types
+(`NAME`, `C[X](A)`, `P[X](A)`) are split off by their `, ` and ` -> `
+separators, and what it keeps for later errors are character offsets. The
+pattern reader never raises: a statement it does not match, or one whose
+list is spelled otherwise, whose name is a duplicate or which would fail,
+is read again from its first token by the token reader, which raises as it
+always has. Other statements (constraints, options, partitions, grants, and
+anything with a comment or other spacing) go to the token reader directly.
+
+The token reader splits the text at each `;` outside a comment with one
+regular expression. A statement's leading tokens are scanned one at a time,
+with their offsets; the rest is scanned in one `tokenize` batch only when
+the parser is about to read it, and offsets inside a batch are found again
+only on the error path. In both readers, a channel type list, or a trace
+event's `term : TYPE`, is keyed by its raw text, from its first token to the
+end of the statement, and so is each `ctor: sig` item a pattern reads: a
+repeat is neither scanned nor parsed again, and a repeated list is resolved
+once. Each call keeps its own tables, which fill only after a successful
+parse, so every error keeps its position.
 
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
@@ -119,6 +132,26 @@ _PUNCT = frozenset(("->", "=>", *"[](),:;="))
 # Every way the loop can go ends at `;` or at the end of the text, so a match
 # never backtracks (`...*;` alone would, exponentially in the `#`s of a tail).
 _STATEMENT = re.compile(r"[^;#]*(?:#[^\n]*[^;#]*)*(;|\Z)")
+
+
+# `print_spec`, `print_trace` and the benchmark generator write each statement
+# in one shape, with single spaces and ASCII names. Each pattern below reads a
+# statement in that shape, its leading blanks and its `;` with one match; a
+# statement the match rejects is read by `_Stream`. Every quantified piece is
+# followed by a character it cannot take, so a failed match backtracks only
+# linearly, and no possessive or atomic form is used.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_AGENT = rf"(?:[IO]:)?{_NAME}"
+# From the first token to the end of the statement, with no comment in it.
+_REST = r"([^ \t\r\n;#][^;#]*)"
+_FAST_SPEC = re.compile(
+    rf"[ \t\r\n]*(?:channel ({_AGENT}) -> ({_AGENT}) : {_REST}"
+    rf"|types {_REST}|agent ({_AGENT})(?: holds {_REST})?);"
+)
+_FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_REST};")
+# One compact atomic type (`NAME`, `C[X](A)`, `P[X](A)`) or constructor name.
+_ATOM = re.compile(rf"([CP])\[({_AGENT})\]\(({_AGENT})\)|{_AGENT}")
+_CTOR = re.compile(rf"{_AGENT}(?:\[{_AGENT}(?:,{_AGENT})*\])*")
 
 
 def _bad_offset(tok: str) -> int:
@@ -266,12 +299,43 @@ class _Stream:
             raise self.error(ParseError, f"unexpected trailing {tok!r}", self.pos)
 
 
-def _statements(text: str) -> Iterator[_Stream]:
+class _Offsets:
+    """Where the pattern readers found what they kept: token `i` here is the
+    one at character offset `i`. It stands in for a `_Stream` when an error
+    is found after its statement was read."""
+
+    __slots__ = ("text", "tokens")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: dict[int, str] = {}  # agent names, by offset
+
+    def where(self, i: int) -> tuple[int, int]:
+        return _line_col(self.text, i)
+
+    def error(self, cls: type[DslError], message: str, i: int) -> DslError:
+        return cls(message, *self.where(i))
+
+
+# Where a kept token stands: its statement's stream, or the offsets of the
+# statements a pattern read.
+_Site = _Stream | _Offsets
+
+
+def _statements(text: str, fast: re.Pattern[str] | None = None) -> Iterator[_Stream | re.Match[str]]:
     """The `;`-terminated statements of `text`, in document order. Each is
     split off when the one before it has been read, so the first statement
-    that cannot be read is the one an error blames."""
+    that cannot be read is the one an error blames. A statement `fast`
+    matches comes as that match, whose reader may still hand it to
+    `_Stream(text, m.start(), m.end() - 1)`."""
     pos = 0
     while True:
+        if fast is not None:
+            m = fast.match(text, pos)
+            if m is not None:
+                yield m
+                pos = m.end()
+                continue
         m = _STATEMENT.match(text, pos)
         if not m.group(1):
             break
@@ -290,14 +354,17 @@ def _statements(text: str) -> Iterator[_Stream]:
 # --- shared grammar pieces ---------------------------------------------------
 
 
+def _new_agent(name: str) -> AgentId:
+    if name.startswith("I:"):
+        return AgentId(name, INTERFACE, name[2:])
+    if name.startswith("O:"):
+        return AgentId(name, OUTPUT, name[2:])
+    return AgentId(name)
+
+
 def _agent_id(ts: _Stream, i: int) -> AgentId:
-    name = ts.tokens[i]
     try:
-        if name.startswith("I:"):
-            return AgentId(name, INTERFACE, name[2:])
-        if name.startswith("O:"):
-            return AgentId(name, OUTPUT, name[2:])
-        return AgentId(name)
+        return _new_agent(ts.tokens[i])
     except ArchitectureError as exc:
         raise ts.error(ResolveError, str(exc), i) from exc
 
@@ -324,6 +391,40 @@ def _parse_type(ts: _Stream) -> tuple[AtomicType, int]:
         wrapper = Certified if name == "C" else Proof
         return wrapper(owner, inner), head
     return Base(name), head
+
+
+def _atoms(
+    text: str, sep: str, start: int, atoms: dict[str, AtomicType]
+) -> list[tuple[AtomicType, int]] | None:
+    """The compact atomic types of `text`, split at each `sep`, with their
+    offsets from `start`; None when a piece is not one. `atoms` keeps each
+    piece's type, for one call of a parser."""
+    out = []
+    for piece in text.split(sep):
+        ty = atoms.get(piece)
+        if ty is None:
+            m = _ATOM.fullmatch(piece)
+            if m is None:
+                return None
+            kind, owner, inner = m.groups()
+            if kind is None:
+                ty = Base(piece)
+            else:
+                ty = (Certified if kind == "C" else Proof)(owner, inner)
+            atoms[piece] = ty
+        out.append((ty, start))
+        start += len(piece) + len(sep)
+    return out
+
+
+def _held(item: str, atoms: dict[str, AtomicType]) -> tuple[str, list[tuple[AtomicType, int]]] | None:
+    """A compact `ctor: sig` item: the constructor and its signature's types
+    with their offsets from the item's start; None when it is not one."""
+    ctor, colon, sig = item.partition(": ")
+    if not colon or _CTOR.fullmatch(ctor) is None:
+        return None
+    parts = _atoms(sig, " -> ", len(ctor) + 2, atoms)
+    return None if parts is None else (ctor, parts)
 
 
 def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
@@ -411,18 +512,72 @@ def parse_spec(text: str) -> SpecDocument:
     declared_types: set[AtomicType] = set()
     agents: dict[str, AgentId] = {}
     holdings: dict[AgentId, set[str]] = {}
-    ctor_sigs: dict[str, tuple[TypeExpr, _Stream, int]] = {}
+    ctor_sigs: dict[str, tuple[TypeExpr, _Site, int]] = {}
     channel_types: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
     # Each distinct type list, keyed by its raw text, and the channels naming
     # it. A list's entries keep the statement they were read from.
     type_lists: dict[str, int] = {}
-    list_entries: list[tuple[_Stream, list[tuple[AtomicType, int]]]] = []
-    raw_channels: list[tuple[_Stream, int, int, int]] = []
+    list_entries: list[tuple[_Site, list[tuple[AtomicType, int]]]] = []
+    raw_channels: list[tuple[_Site, int, int, int]] = []
     raw_constraints: list[_Stream] = []
-    raw_holds: list[tuple[_Stream, str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
+    raw_holds: list[tuple[_Site, str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
     options: dict[str, tuple[int, _Stream, int]] = {}
+    # What the pattern reader keeps: positions as offsets, each compact type
+    # by its text, and each `ctor: sig` item by its text.
+    site = _Offsets(text)
+    atoms: dict[str, AtomicType] = {}
+    held: dict[str, tuple[str, list[tuple[AtomicType, int]]]] = {}
 
-    for ts in _statements(text):
+    def read_fast(m: re.Match[str]) -> bool:
+        """Read a statement in printed form. Returns False, having kept
+        nothing, when its list is spelled otherwise or `_Stream` would raise."""
+        sender, receiver, key, type_text, name, holds_text = m.groups()
+        if key is not None:
+            k = type_lists.get(key)
+            if k is None:
+                entries = _atoms(key, ", ", m.start(3), atoms)
+                if entries is None:
+                    return False
+                k = type_lists[key] = len(list_entries)
+                list_entries.append((site, entries))
+            sender_i, receiver_i = m.start(1), m.start(2)
+            site.tokens[sender_i] = sender
+            site.tokens[receiver_i] = receiver
+            raw_channels.append((site, sender_i, receiver_i, k))
+            return True
+        if type_text is not None:
+            entries = _atoms(type_text, ", ", 0, atoms)
+            if entries is None:
+                return False
+            types = [ty for ty, _ in entries]
+            if len(set(types)) < len(types) or not declared_types.isdisjoint(types):
+                return False
+            declared_types.update(types)
+            return True
+        if name in agents:
+            return False
+        try:
+            agent = _new_agent(name)
+        except ArchitectureError:
+            return False
+        holds = []
+        if holds_text is not None:
+            start = m.start(6)
+            for item in holds_text.split(", "):
+                layout = held.get(item)
+                if layout is None:
+                    layout = _held(item, atoms)
+                    if layout is None:
+                        return False
+                    held[item] = layout
+                ctor, parts = layout
+                holds.append((ctor, start, [(ty, start + i) for ty, i in parts]))
+                start += len(item) + 2
+        agents[name] = agent
+        raw_holds.append((site, name, holds))
+        return True
+
+    def read(ts: _Stream) -> None:
         tokens = ts.tokens
         head = ts.expect_kind(IDENT)
         keyword = tokens[head]
@@ -442,7 +597,7 @@ def parse_spec(text: str) -> SpecDocument:
                 k = type_lists[key] = len(list_entries)
                 list_entries.append((ts, entries))
             raw_channels.append((ts, sender, receiver, k))
-            continue
+            return
         ts.rest()
         if keyword == "types":
             while True:
@@ -495,12 +650,19 @@ def parse_spec(text: str) -> SpecDocument:
                 head,
             )
 
-    def require_type(ts: _Stream, ty: AtomicType, i: int) -> AtomicType:
+    for ts in _statements(text, _FAST_SPEC):
+        if isinstance(ts, re.Match):
+            if read_fast(ts):
+                continue
+            ts = _Stream(text, ts.start(), ts.end() - 1)
+        read(ts)
+
+    def require_type(ts: _Site, ty: AtomicType, i: int) -> AtomicType:
         if ty not in declared_types:
             raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", i)
         return ty
 
-    def require_agent(ts: _Stream, i: int) -> AgentId:
+    def require_agent(ts: _Site, i: int) -> AgentId:
         agent = agents.get(ts.tokens[i])
         if agent is None:
             raise ts.error(ResolveError, f"undeclared agent {ts.tokens[i]}", i)
@@ -672,6 +834,15 @@ def print_spec(doc: SpecDocument) -> str:
 # --- traces ------------------------------------------------------------------
 
 
+def _read_payload(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> tuple[TermExpr, AtomicType]:
+    ts.rest()
+    term = _parse_term(ts, shared)
+    ts.expect(":")
+    ty, _ = _parse_type(ts)
+    ts.done()
+    return term, ty
+
+
 def parse_trace(text: str, arch: Architecture) -> Trace:
     """Each statement is `Sender -> Receiver : term : TYPE;`. Agents must
     exist in the architecture; terms are resolved structurally and validated
@@ -681,7 +852,28 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     # Equal subterms of different payloads are one object too.
     shared: dict[TermExpr, TermExpr] = {}
-    for ts in _statements(text):
+    agent_named = arch.agent_named
+
+    def read_fast(m: re.Match[str]) -> Event | None:
+        """The event of a statement in printed form, or None when `_Stream`
+        must read it again because reading it raises."""
+        sender, receiver, key = m.groups()
+        try:
+            payload = payloads.get(key)
+            if payload is None:
+                payload = _read_payload(_Stream(text, m.start(3), m.end(3)), shared)
+                payloads[key] = payload
+            return Event(agent_named(sender), payload[0], payload[1], agent_named(receiver))
+        except (DslError, ArchitectureError, TraceError):
+            return None
+
+    for ts in _statements(text, _FAST_EVENT):
+        if isinstance(ts, re.Match):
+            event = read_fast(ts)
+            if event is not None:
+                events.append(event)
+                continue
+            ts = _Stream(text, ts.start(), ts.end() - 1)
         sender_i = ts.expect_kind(IDENT)
         ts.expect("->")
         receiver_i = ts.expect_kind(IDENT)
@@ -689,12 +881,7 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
         key = ts.raw_rest()
         payload = payloads.get(key)
         if payload is None:
-            ts.rest()
-            term = _parse_term(ts, shared)
-            ts.expect(":")
-            ty, _ = _parse_type(ts)
-            ts.done()
-            payload = payloads[key] = (term, ty)
+            payload = payloads[key] = _read_payload(ts, shared)
         term, ty = payload
         sender = _known_agent(ts, arch, sender_i)
         receiver = _known_agent(ts, arch, receiver_i)

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import privarch
 
 from privarch import (
     AgentId,
@@ -77,6 +86,43 @@ def test_interface_kind_requires_prefix_and_owner():
         AgentId("Child", INTERFACE, "Child")
     with pytest.raises(ArchitectureError):
         AgentId("I:Child", INTERFACE, None)
+
+
+def test_agent_ids_keep_their_value_semantics():
+    # The hash is stored at construction; it is the hash of the fields, and
+    # equality, repr, `replace` and pickling behave as for any frozen value.
+    i = AgentId.interface_of(CHILD)
+    assert hash(i) == hash(("I:Child", INTERFACE, "Child"))
+    assert i == AgentId("I:Child", INTERFACE, "Child") and i != CHILD
+    assert repr(i) == "AgentId(name='I:Child', kind='interface', owner='Child')"
+    moved = dataclasses.replace(CHILD, name="Parent")
+    assert moved == AgentId("Parent") and hash(moved) == hash(AgentId("Parent"))
+    assert pickle.loads(pickle.dumps(i)) == i
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        i.name = "I:Parent"
+
+
+def test_unpickled_agent_ids_hash_in_their_own_process(tmp_path):
+    # String hashes differ between processes, so an agent pickled in one
+    # process must hash with the other's seed once loaded there.
+    blob = tmp_path / "agents.pickle"
+    blob.write_bytes(pickle.dumps([CHILD, AgentId.output_of(CHILD)]))
+    probe = (
+        "import pickle, sys\n"
+        "from pathlib import Path\n"
+        "from privarch import AgentId\n"
+        "agents = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
+        "print(all(hash(a) == hash(AgentId(a.name, a.kind, a.owner)) for a in agents)"
+        " and AgentId('Child') in set(agents))\n"
+    )
+    src = str(Path(privarch.__file__).resolve().parent.parent)
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(blob)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "True\n"
 
 
 def test_sort_key_orders_originals_first():

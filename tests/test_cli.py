@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from privarch import dot_counts
-from privarch.cli import main
+from privarch.cli import build_parser, main
 
 from conftest import FIXTURES, read_fixture
 
@@ -461,3 +461,46 @@ def test_deeply_nested_term_is_a_clean_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls
+
+def outcome(capsys, argv):
+    """Exit code, standard output and standard error of one `main` call,
+    usage errors and `--help` included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_answer_as_fresh_ones(capsys, tmp_path):
+    # The argument parser is built once per process; calls after a usage
+    # error, or after `verify` stops on mixed constraint forms, must answer
+    # as the first call of a process does.
+    mixed = tmp_path / "mixed.parch"
+    mixed.write_text(
+        "types A, B;\nagent X holds a: A;\nagent Y holds b: B;\n"
+        "constraint X ni B => A;\nconstraint X ni B => Y ni A;\n"
+    )
+    calls = [
+        ["check", fixture_path("coppa_safe_relaxed.parch"), fixture_path("coppa_witness.trace")],
+        ["check", fixture_path("coppa_safe.parch")],
+        ["verify", str(mixed), "--partition", "canonical"],
+        ["verify", fixture_path("coppa_safe.parch"), "--partition", "canonical"],
+        ["verify", str(mixed), "--partition", "canonical", "--algorithm", "2"],
+        ["frobnicate"],
+        ["--help"],
+        ["check", fixture_path("coppa_safe_relaxed.parch"), fixture_path("coppa_witness.trace"), "--json"],
+    ]
+    in_turn = [outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [0, 2, 2, 0, 0, 2, 0, 0]
+    assert "mix both negative forms" in in_turn[2][2]

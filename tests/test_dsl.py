@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from privarch import (
     SpecDocument,
     UnknownAgent,
     apply,
+    build_safe_architecture_v1,
     build_safe_architecture_v2,
     canonical_partition,
     parse_grants,
@@ -31,11 +33,12 @@ from privarch import (
     print_spec,
     print_trace,
     term_to_str,
+    type_name,
 )
 from privarch import dsl
 
 from conftest import read_fixture
-from generators import mk_document
+from generators import mk_document, mk_valid_trace
 from oracles import reference_tokenize
 
 
@@ -303,6 +306,30 @@ def test_algorithm_option_range_checked():
             "types A;\nagent X;\nagent X;\nagent Y holds y: A$;",
             3, 7, "duplicate agent X",
         ),
+        # Statements in printed form, which a pattern reads: errors found
+        # after reading keep their positions, and a duplicate is left to the
+        # token reader.
+        (
+            ResolveError,
+            "types A, B;\nagent X holds a: A, f: A -> C[X](B);",
+            2, 29, "undeclared type C[X](B)",
+        ),
+        (
+            ResolveError,
+            "types A;\nagent X holds a: A;\nagent Y;\n"
+            "channel X -> Y : A, P[Y](A);\nchannel Y -> X : A, P[Y](A);",
+            4, 21, "undeclared type P[Y](A)",
+        ),
+        (
+            ResolveError,
+            "types A, B;\nagent X holds c: A;\nagent Y holds d: B, c: B;",
+            3, 21,
+            "constructor c redeclared with a different signature (first declared at line 2)",
+        ),
+        (ResolveError, "types A;\nagent X holds c: A, c: A;", 2, 21, "agent X lists constructor c twice"),
+        (ResolveError, "types A;\nagent X holds a: A;\nchannel X -> X : A;", 3, 9, "channel from X to itself"),
+        (ResolveError, "types A, B;\ntypes C, A;", 2, 10, "duplicate type A"),
+        (ResolveError, "types A;\nagent X holds a: A;\nagent X holds a: A;", 3, 7, "duplicate agent X"),
     ],
 )
 def test_spec_error_positions(kind, text, line, col, message):
@@ -643,6 +670,21 @@ def test_grant_unknown_agent_rejected(coppa_doc):
             "# output\ngrant I:Parent -> O:Ghost : POLICY;",
             2, 19, "O:Ghost",
         ),
+        (
+            parse_trace, ResolveError,
+            "Child -> O:Child : info : INFO;\nO:Child -> O:Child : info : INFO;",
+            2, 1, "event sends O:Child to itself",
+        ),
+        (
+            parse_trace, ResolveError,
+            "Child -> O:Child : info : INFO;\nGhost -> O:Child : info : INFO;",
+            2, 1, "Ghost",
+        ),
+        (
+            parse_trace, ParseError,
+            "Child -> O:Child : info : INFO;\nChild -> O:Child : info : INFO :;",
+            2, 32, "unexpected trailing ':'",
+        ),
     ],
 )
 def test_document_error_positions(coppa_relaxed_doc, parse, kind, text, line, col, message):
@@ -650,3 +692,155 @@ def test_document_error_positions(coppa_relaxed_doc, parse, kind, text, line, co
         parse(text, coppa_relaxed_doc.architecture)
     assert (info.value.line, info.value.col) == (line, col)
     assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the pattern reader against the token reader
+
+
+def respaced(text, every=1):
+    """`text` with a comment after the first word of every `every`-th line,
+    so that no pattern reads those statements and `_Stream` does."""
+    return "\n".join(
+        line.replace(" ", " #\n", 1) if k % every == 0 else line
+        for k, line in enumerate(text.split("\n"))
+    )
+
+
+def pattern_reads(text, pattern):
+    """For each statement of `text`, whether `pattern` reads it."""
+    return [isinstance(st, re.Match) for st in dsl._statements(text, pattern)]
+
+
+def agreement_specs():
+    """Spec documents in printed form: the fixtures, generated documents and
+    their safe extensions."""
+    names = ["coppa.parch", "coppa_v1.parch", "coppa_safe.parch", "coppa_safe_relaxed.parch",
+             "coppa_v1_safe.parch"]
+    docs = [parse_spec(read_fixture(name)) for name in names]
+    rng = random.Random(0xA9E)
+    for _ in range(30):
+        doc = mk_document(rng)
+        build = build_safe_architecture_v1 if doc.options.algorithm == 1 else build_safe_architecture_v2
+        safe = build(doc.architecture, doc.constraints, doc.options)
+        docs += [doc, SpecDocument.build(safe.arch, doc.constraints, doc.options)]
+    return docs
+
+
+def test_pattern_and_token_readers_agree_on_specs():
+    for doc in agreement_specs():
+        text = print_spec(doc)
+        slow = respaced(text)
+        assert not any(pattern_reads(slow, dsl._FAST_SPEC))
+        # Every types, agent and channel statement takes the pattern reader.
+        read = pattern_reads(text, dsl._FAST_SPEC)
+        assert sum(read) == sum(
+            line.startswith(("types ", "agent ", "channel ")) for line in text.split("\n")
+        )
+        for variant in (text, slow, respaced(text, 2), respaced(text, 3)):
+            assert parse_spec(variant) == doc
+
+
+def test_pattern_and_token_readers_agree_on_traces(coppa_relaxed_doc):
+    cases = [(tuple(parse_trace(read_fixture("coppa_witness.trace"), coppa_relaxed_doc.architecture)),
+              coppa_relaxed_doc.architecture)]
+    rng = random.Random(0x7AC)
+    for doc in agreement_specs():
+        for _ in range(3):
+            cases.append((tuple(mk_valid_trace(rng, doc.architecture, 6)), doc.architecture))
+    assert sum(len(trace) for trace, _ in cases) > 300
+    for trace, arch in cases:
+        text = print_trace(trace)
+        slow = respaced(text)
+        assert not any(pattern_reads(slow, dsl._FAST_EVENT))
+        assert all(pattern_reads(text, dsl._FAST_EVENT))
+        for variant in (text, slow, respaced(text, 2)):
+            assert parse_trace(variant, arch) == trace
+
+
+def test_printed_trace_scans_only_its_distinct_payloads(monkeypatch, witness_events, coppa_relaxed_doc):
+    # Each event of a printed trace is read with one match; only a payload
+    # seen for the first time is tokenized.
+    trace = tuple(witness_events) * 20
+    text = print_trace(trace)
+    payloads = {f"{term_to_str(e.term)} : {type_name(e.msg_type)}" for e in trace}
+    payload_tokens = sum(len(dsl.tokenize(p)) for p in payloads)
+    scan = CountingScan(dsl._SCAN)
+    monkeypatch.setattr(dsl, "_SCAN", scan)
+    assert parse_trace(text, coppa_relaxed_doc.architecture) == trace
+    assert scan.tokens <= len(trace) + payload_tokens
+
+
+# Errors found after a statement was read by a pattern, against the
+# character-by-character tokenizer's positions.
+
+
+def type_uses(tokens):
+    """(index of the head token, spelled type, keyword) of each type a holds
+    clause or a channel list names, in document order."""
+    out = []
+    start = 0
+    for i, tok in enumerate(tokens):
+        if tok.text == ";":
+            start = i + 1
+            continue
+        keyword, prev = tokens[start].text, tokens[i - 1].text
+        if (keyword == "agent" and prev in (":", "->")) or (
+            keyword == "channel" and i > start + 4 and prev in (":", ",")
+        ):
+            width = 7 if tokens[i + 1].text == "[" else 1
+            out.append((i, "".join(t.text for t in tokens[i : i + width]), keyword))
+    return out
+
+
+def renamed(text, tokens, i, spelled, name):
+    """`text` with the type spelled `spelled` at token `i` renamed."""
+    at = offset_of(text, tokens[i])
+    assert text[at : at + len(spelled)] == spelled
+    return text[:at] + name + text[at + len(spelled) :]
+
+
+def test_undeclared_holds_and_channel_types_are_blamed_where_they_stand():
+    text = synthesized_spec()
+    tokens = reference_tokenize(text)
+    rng = random.Random(0x7E5)
+    uses = rng.sample(type_uses(tokens), 60)
+    assert {keyword for _, _, keyword in uses} == {"agent", "channel"}
+    for i, spelled, _ in uses:
+        e = err(ResolveError, renamed(text, tokens, i, spelled, "Nowhere"))
+        assert str(e) == f"line {tokens[i].line}, col {tokens[i].col}: undeclared type Nowhere"
+
+
+def test_undeclared_type_is_blamed_at_its_first_use():
+    # A renamed `types` entry leaves its old name undeclared where it is
+    # first used, in a holds clause or a channel list.
+    text = synthesized_spec()
+    tokens = reference_tokenize(text)
+    first: dict[str, int] = {}
+    for i, spelled, _ in type_uses(tokens):
+        first.setdefault(spelled, i)
+    end = next(i for i, t in enumerate(tokens) if t.text == ";")
+    entries = [
+        (i, "".join(t.text for t in tokens[i : i + (7 if tokens[i + 1].text == "[" else 1)]))
+        for i in range(1, end)
+        if tokens[i - 1].text in ("types", ",")
+    ]
+    rng = random.Random(0x7E6)
+    for i, spelled in rng.sample(entries, 20):
+        e = err(ResolveError, renamed(text, tokens, i, spelled, "Nowhere"))
+        use = tokens[first[spelled]]
+        assert str(e) == f"line {use.line}, col {use.col}: undeclared type {spelled}"
+
+
+def test_unknown_event_agent_is_blamed_where_it_stands(witness_events, coppa_relaxed_doc):
+    text = print_trace(tuple(witness_events) * 5)
+    tokens = reference_tokenize(text)
+    starts = [0] + [i + 1 for i, t in enumerate(tokens[:-1]) if t.text == ";"]
+    rng = random.Random(0xE7A)
+    for k in sorted(rng.sample(range(len(starts)), 20)):
+        # The sender of an even-numbered event, the receiver of an odd one.
+        name = tokens[starts[k] + 2 * (k % 2)]
+        at = offset_of(text, name)
+        with pytest.raises(ResolveError) as info:
+            parse_trace(text[:at] + "Nobody" + text[at + len(name.text) :], coppa_relaxed_doc.architecture)
+        assert str(info.value) == f"line {name.line}, col {name.col}: Nobody"
