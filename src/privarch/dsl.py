@@ -33,11 +33,12 @@ single spaces, ASCII names, no comment) of a `types`, `agent` or `channel`
 statement or a trace event is read with one pattern match; its compact types
 (`NAME`, `C[X](A)`, `P[X](A)`) are split off by their `, ` and ` -> `
 separators, and what it keeps for later errors are character offsets. The
-pattern reader never raises: a statement it does not match, or one whose
-list is spelled otherwise, whose name is a duplicate or which would fail,
-is read again from its first token by the token reader, which raises as it
-always has. Other statements (constraints, options, partitions, grants, and
-anything with a comment or other spacing) go to the token reader directly.
+pattern reader never raises. A matched statement whose list is spelled
+otherwise, which names a duplicate or whose reading would fail is read again
+from its first token by the token reader, so every error of the first pass
+comes from the token reader. Every other statement (constraints, options,
+partitions, grants, and anything with a comment or other spacing) goes to
+the token reader directly.
 
 The token reader splits the text at each `;` outside a comment with one
 regular expression. A statement's leading tokens are scanned one at a time,
