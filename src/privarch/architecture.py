@@ -49,7 +49,9 @@ class AgentId:
     owner: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.owner)))
+        # `owner or ""`: hash(None) is an address on some Pythons, and agent
+        # set order must depend on PYTHONHASHSEED alone.
+        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.owner or "")))
         if self.kind == ORIGINAL:
             if self.owner is not None:
                 raise ArchitectureError(f"original agent {self.name} cannot have an owner")

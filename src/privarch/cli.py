@@ -35,9 +35,13 @@ from .dsl import (
     parse_trace,
     print_spec,
 )
-from .dot import dot_counts, export_dot
+from .dot import export_dot
 from .explorer import ExplorerError, explore
-from .semantics import TraceError, check_trace_valid
+from .semantics import TraceError
+
+# Bound here for benchmarks/spans.py, whose tracer wraps them in this module.
+from .dot import dot_counts  # noqa: F401
+from .semantics import check_trace_valid  # noqa: F401
 from .synthesis import (
     SynthesisError,
     build_safe_architecture_v1,
@@ -120,7 +124,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = _load_spec(args.spec)
     arch = doc.architecture
     trace = parse_trace(_read(args.trace), arch)
-    verdict = check_trace_valid(arch, trace)
+    rep = check_trace_compliance(arch, trace, doc.constraints)
+    verdict = rep.validity
     if not verdict.valid:
         _emit(
             args,
@@ -133,7 +138,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             [f"invalid trace: {verdict}"],
         )
         return 1
-    rep = check_trace_compliance(arch, trace, doc.constraints)
     human = [f"valid trace ({len(trace)} events)"]
     violations = []
     for c, prefix_len, detail in rep.negatives.violations + rep.local_gates.violations:
@@ -282,7 +286,9 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if args.partition:
         partition = _partition_for(args, doc.architecture)
     text = export_dot(doc.architecture, partition)
-    nodes, edges = dot_counts(text)
+    # One node per agent and one edge per channel type, as export_dot writes.
+    nodes = len(doc.architecture.agents)
+    edges = sum(len(types) for types in doc.architecture.channels.values())
     if args.output:
         _write(args.output, text)
     payload = {"nodes": nodes, "edges": edges, "dot": text}

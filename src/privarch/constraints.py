@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .architecture import Architecture, AgentId
-from .semantics import Event, KnowledgeState, possession_closure
+from .semantics import Event, KnowledgeState, TraceCheck, walk_trace
+
+# Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
+from .semantics import possession_closure  # noqa: F401
 from .terms import AtomicType, TermExpr, type_name
 
 
@@ -95,6 +98,24 @@ def _violated(constraint: Constraint, prefix_len: int, detail: str) -> Complianc
     return ComplianceVerdict(False, ((constraint, prefix_len, detail),))
 
 
+def _create_violation(c: NegCreate, i: int) -> tuple[Constraint, int, str]:
+    return (
+        c,
+        i,
+        f"{c.subject.name} possesses {type_name(c.trigger)} at prefix {i} "
+        f"but no agent possesses {type_name(c.required)}",
+    )
+
+
+def _possess_violation(c: NegPossess, i: int) -> tuple[Constraint, int, str]:
+    return (
+        c,
+        i,
+        f"{c.subject.name} possesses {type_name(c.trigger)} at prefix {i} "
+        f"but {c.holder.name} does not possess {type_name(c.required)}",
+    )
+
+
 def check_neg_create(states: Sequence[KnowledgeState], c: NegCreate) -> ComplianceVerdict:
     """Compliant iff at every prefix where the subject possesses the trigger,
     some agent possesses the required type (initial holdings count).
@@ -104,12 +125,7 @@ def check_neg_create(states: Sequence[KnowledgeState], c: NegCreate) -> Complian
             continue
         if any(c.required in tys for tys in state.possessed.values()):
             continue
-        return _violated(
-            c,
-            i,
-            f"{c.subject.name} possesses {type_name(c.trigger)} at prefix {i} "
-            f"but no agent possesses {type_name(c.required)}",
-        )
+        return ComplianceVerdict(False, (_create_violation(c, i),))
     return _ok()
 
 
@@ -121,12 +137,7 @@ def check_neg_possess(states: Sequence[KnowledgeState], c: NegPossess) -> Compli
             continue
         if c.required in state.types_of(c.holder):
             continue
-        return _violated(
-            c,
-            i,
-            f"{c.subject.name} possesses {type_name(c.trigger)} at prefix {i} "
-            f"but {c.holder.name} does not possess {type_name(c.required)}",
-        )
+        return ComplianceVerdict(False, (_possess_violation(c, i),))
     return _ok()
 
 
@@ -155,6 +166,10 @@ def check_local(events: Sequence[Event], c: LocalSend) -> ComplianceVerdict:
 
 @dataclass(frozen=True)
 class TraceComplianceReport:
+    """The verdict of one trace. An invalid trace is judged against no
+    constraint: its report holds only the validity verdict."""
+
+    validity: TraceCheck
     negatives: ComplianceVerdict
     local_gates: ComplianceVerdict
     positives: Mapping[Positive, bool]
@@ -163,28 +178,44 @@ class TraceComplianceReport:
     def compliant(self) -> bool:
         # Positive constraints are existential over traces; one trace not
         # witnessing them is not a violation.
-        return self.negatives.compliant and self.local_gates.compliant
+        return self.validity.valid and self.negatives.compliant and self.local_gates.compliant
 
 
 def check_trace_compliance(
     arch: Architecture, events: Sequence[Event], constraints: Sequence[Constraint]
 ) -> TraceComplianceReport:
-    """Run every constraint against one trace, sharing a single closure pass."""
-    states = possession_closure(arch, events)
+    """Check validity and every constraint in one walk over the trace.
+
+    Possession only grows, so a negative constraint is decided where its
+    subject first possesses the trigger: it is violated there exactly when
+    the required type is not yet possessed (by some agent, or by the named
+    holder), and it holds at every prefix otherwise. This gives the first
+    violating prefix that `check_neg_create` and `check_neg_possess` find
+    by scanning `possession_closure`.
+    """
+    walk = walk_trace(arch, events)
+    if not walk.verdict.valid:
+        return TraceComplianceReport(walk.verdict, _ok(), _ok(), {})
+    first, never = walk.first, len(events) + 1
     neg_violations: list[tuple[Constraint, int, str]] = []
     local_violations: list[tuple[Constraint, int, str]] = []
     positives: dict[Positive, bool] = {}
     for c in constraints:
         match c:
             case NegCreate():
-                neg_violations.extend(check_neg_create(states, c).violations)
+                t = first.get(c.subject, {}).get(c.trigger)
+                if t is not None and walk.first_any.get(c.required, never) > t:
+                    neg_violations.append(_create_violation(c, t))
             case NegPossess():
-                neg_violations.extend(check_neg_possess(states, c).violations)
+                t = first.get(c.subject, {}).get(c.trigger)
+                if t is not None and first.get(c.holder, {}).get(c.required, never) > t:
+                    neg_violations.append(_possess_violation(c, t))
             case Positive():
-                positives[c] = check_positive(states, c)
+                positives[c] = c.goal in first.get(c.subject, {})
             case LocalSend():
                 local_violations.extend(check_local(events, c).violations)
     return TraceComplianceReport(
+        walk.verdict,
         ComplianceVerdict(not neg_violations, tuple(neg_violations)),
         ComplianceVerdict(not local_violations, tuple(local_violations)),
         positives,

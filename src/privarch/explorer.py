@@ -43,14 +43,17 @@ from .constraints import (
 )
 from .semantics import (
     Event,
+    InvalidTraceError,
     KnowledgeState,
     Trace,
-    check_trace_valid,
     constructor_rules,
     possession_closure,
     receive,
     seed_witnesses,
 )
+
+# Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
+from .semantics import check_trace_valid  # noqa: F401
 from .terms import AtomicType, signature_parts, type_name, type_sort_key
 
 DEFAULT_DEPTH = 12
@@ -223,14 +226,15 @@ def _concrete_check(
     states. None when the trace breaks a local-send gate (the bit-level
     discharge is term-blind); an invalid trace is a bug and raises."""
     trace = reconstruct_trace(arch, abstract)
-    check = check_trace_valid(arch, trace)
-    if not check.valid:
+    try:
+        states = possession_closure(arch, trace)
+    except InvalidTraceError as exc:
         raise ReconstructionFailure(
-            f"reconstructed trace invalid at index {check.index}: {check.reason}"
-        )
+            f"reconstructed trace invalid at index {exc.verdict.index}: {exc.verdict.reason}"
+        ) from None
     if not all(check_local(trace, g).compliant for g in gates):
         return None
-    return trace, possession_closure(arch, trace)
+    return trace, states
 
 
 # --- saturation + demand-driven witness extraction --------------------------

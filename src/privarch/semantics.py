@@ -4,11 +4,16 @@ A trace is a sequence of events (sender, term, atomic type, receiver).
 Derivability follows three ideas: an agent derives what it initially holds,
 what a valid event delivered to it, and any application of a derivable
 constructor to derivable arguments. Possession is monotone along a trace.
+
+One walk over a trace checks each event, indexes its delivery and folds it
+into possession, recording when each agent first possesses each type; the
+state at every prefix is read from those tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
@@ -44,7 +49,12 @@ class EventTypeError(TraceError):
 
 
 class InvalidTraceError(TraceError):
-    pass
+    """A trace that is not valid where a valid one is required. Its one
+    argument is the TraceCheck verdict, which is also its message."""
+
+    @property
+    def verdict(self) -> TraceCheck:
+        return self.args[0]
 
 
 class NotDerivable(TraceError):
@@ -135,42 +145,6 @@ def _derivable(
     return term.name in held
 
 
-def _index_trace(
-    arch: Architecture, events: Sequence[Event]
-) -> tuple[TraceCheck, dict[AgentId, dict[TermExpr, int]]]:
-    """One forward pass: the validity verdict plus, per agent, the first
-    delivery index of every term that reached it in the valid prefix."""
-    delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
-    types: dict[TermExpr, TypeExpr] = {}
-    for i, e in enumerate(events):
-        _check_event_structure(arch, i, e, types)
-        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
-            return TraceCheck(False, i, CHANNEL), delivered
-        if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
-            return TraceCheck(False, i, POSSESSION), delivered
-        delivered[e.receiver].setdefault(e.term, i)
-    return TraceCheck(True), delivered
-
-
-def _indexed_valid_trace(
-    arch: Architecture, events: Sequence[Event]
-) -> dict[AgentId, dict[TermExpr, int]]:
-    verdict, delivered = _index_trace(arch, events)
-    if not verdict.valid:
-        raise InvalidTraceError(str(verdict))
-    return delivered
-
-
-def check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck:
-    """Verdict-valued validity check; pinpoints the first offending event.
-
-    Structural breakage (unknown agents, ill-typed terms) raises instead,
-    since the verdict reasons are reserved for the two semantic failures:
-    the channel does not carry the type, or the sender cannot derive the term.
-    """
-    return _index_trace(arch, events)[0]
-
-
 def derives(
     arch: Architecture,
     events: Sequence[Event],
@@ -184,7 +158,7 @@ def derives(
     does not type-check, or checks at a different type, is simply not
     derivable at `ty`.
     """
-    delivered = _indexed_valid_trace(arch, events)
+    delivered = _valid_walk(arch, events).delivered
     if agent not in arch.agents:
         raise EventTypeError(f"unknown agent {agent.name}")
     try:
@@ -218,7 +192,7 @@ def generation_decompose(
     before that prefix, and on to its sender. Each step ends the prefix
     earlier, so one backward sweep over the events finds the whole chain.
     """
-    delivered = _indexed_valid_trace(arch, events)
+    delivered = _valid_walk(arch, events).delivered
     head, args = uncurry(term)
     holder, length, chain = agent, len(events), []
     while True:
@@ -238,20 +212,51 @@ def generation_decompose(
     return Decomposition(holder, head, args, tuple(chain))
 
 
-@dataclass(frozen=True)
 class KnowledgeState:
-    """Type-level possession per agent after some prefix, with one canonical
-    witness term per (agent, type). Witnesses are assigned once, smallest
-    candidate first (by term size, then printed form), and never replaced."""
+    """Type-level possession per agent after the first `prefix` events of a
+    walked trace, with one canonical witness term per (agent, type).
+    Witnesses are assigned once, smallest candidate first (by term size, then
+    printed form), and never replaced, so a state reads the walk's final
+    witnesses, keeping those possessed by its prefix. `possessed` and
+    `witnesses` are built on each access."""
 
-    possessed: Mapping[AgentId, frozenset[AtomicType]]
-    witnesses: Mapping[tuple[AgentId, AtomicType], TermExpr]
+    __slots__ = ("_walk", "prefix")
+
+    def __init__(self, walk: TraceWalk, prefix: int) -> None:
+        self._walk = walk
+        self.prefix = prefix
 
     def types_of(self, agent: AgentId) -> frozenset[AtomicType]:
-        return self.possessed.get(agent, frozenset())
+        return frozenset(
+            t for t, k in self._walk.first.get(agent, {}).items() if k <= self.prefix
+        )
 
     def witness(self, agent: AgentId, ty: AtomicType) -> TermExpr:
-        return self.witnesses[(agent, ty)]
+        if self._walk.first.get(agent, {}).get(ty, self.prefix + 1) > self.prefix:
+            raise KeyError((agent, ty))
+        return self._walk.owned[agent][ty]
+
+    @property
+    def possessed(self) -> dict[AgentId, frozenset[AtomicType]]:
+        """Each agent that possesses some type, with its types."""
+        return {a: tys for a in self._walk.first if (tys := self.types_of(a))}
+
+    @property
+    def witnesses(self) -> dict[tuple[AgentId, AtomicType], TermExpr]:
+        return {
+            (a, t): self._walk.owned[a][t]
+            for a, firsts in self._walk.first.items()
+            for t, k in firsts.items()
+            if k <= self.prefix
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeState):
+            return NotImplemented
+        return (self.possessed, self.witnesses) == (other.possessed, other.witnesses)
+
+    def __repr__(self) -> str:
+        return f"KnowledgeState(possessed={self.possessed!r}, witnesses={self.witnesses!r})"
 
 
 Rule = tuple[str, tuple[AtomicType, ...], AtomicType]
@@ -342,32 +347,82 @@ def receive(
     return True
 
 
-def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[KnowledgeState]:
-    """One KnowledgeState per prefix (length of trace plus one).
+@dataclass(frozen=True)
+class TraceWalk:
+    """What one forward pass over a trace learns, up to its first invalid
+    event (the whole trace when `verdict` is valid).
 
-    Seeds each agent with what its held constructors can build, then folds
-    events: the receiver gains the delivered term at its type and the
-    receiver's set is re-closed. Sound and complete for type-level
-    possession against the derivability judgement. An event that gives its
-    receiver no new type repeats the previous state object.
+    `delivered` maps, per agent, each term sent to it to its first delivery
+    index. `owned` holds each agent's canonical witness per type after the
+    walked events, and `first[agent][type]` the first prefix at which the
+    agent possesses the type (0 for what its held constructors build);
+    each agent's entries are in the order they were gained. `first_any[type]`
+    is the first prefix at which some agent possesses the type. Possession
+    only grows and witnesses are never replaced, so these tables give the
+    state at every prefix."""
+
+    verdict: TraceCheck
+    delivered: dict[AgentId, dict[TermExpr, int]]
+    owned: dict[AgentId, dict[AtomicType, TermExpr]]
+    first: dict[AgentId, dict[AtomicType, int]]
+    first_any: dict[AtomicType, int]
+
+
+def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
+    """Check validity, index deliveries and fold possession in one loop over
+    the events, stopping at the first invalid one.
+
+    Structural breakage (unknown agents, ill-typed terms) raises, since the
+    verdict reasons are reserved for the two semantic failures: the channel
+    does not carry the type, or the sender cannot derive the term.
     """
-    verdict = check_trace_valid(arch, events)
-    if not verdict.valid:
-        raise InvalidTraceError(str(verdict))
+    delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
+    types: dict[TermExpr, TypeExpr] = {}
     rules = constructor_rules(arch)
     owned = seed_witnesses(rules)
-    possessed = {a: frozenset(m) for a, m in owned.items() if m}
-    witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
-    states = [KnowledgeState(possessed, witnesses)]
-    for e in events:
-        if not receive(rules, owned, e):
-            states.append(states[-1])
-            continue
-        mine = owned[e.receiver]
-        # Earlier states keep their maps; only the receiver's entries change.
-        possessed = dict(possessed)
-        possessed[e.receiver] = frozenset(mine)
-        witnesses = dict(witnesses)
-        witnesses.update(((e.receiver, t), w) for t, w in mine.items())
-        states.append(KnowledgeState(possessed, witnesses))
-    return states
+    first = {a: dict.fromkeys(mine, 0) for a, mine in owned.items()}
+    first_any = {t: 0 for mine in owned.values() for t in mine}
+    verdict = TraceCheck(True)
+    for i, e in enumerate(events):
+        _check_event_structure(arch, i, e, types)
+        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
+            verdict = TraceCheck(False, i, CHANNEL)
+            break
+        if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
+            verdict = TraceCheck(False, i, POSSESSION)
+            break
+        delivered[e.receiver].setdefault(e.term, i)
+        if receive(rules, owned, e):
+            # The receiver's new witnesses follow its old ones in `owned`.
+            gained = first[e.receiver]
+            for t in islice(owned[e.receiver], len(gained), None):
+                gained[t] = i + 1
+                first_any.setdefault(t, i + 1)
+    return TraceWalk(verdict, delivered, owned, first, first_any)
+
+
+def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
+    walk = walk_trace(arch, events)
+    if not walk.verdict.valid:
+        raise InvalidTraceError(walk.verdict)
+    return walk
+
+
+def check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck:
+    """Verdict-valued validity check; pinpoints the first offending event.
+    Structural breakage raises, as in `walk_trace`."""
+    return walk_trace(arch, events).verdict
+
+
+def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[KnowledgeState]:
+    """One KnowledgeState per prefix (length of trace plus one), read from
+    the tables of one `walk_trace`; raises InvalidTraceError on an invalid
+    trace.
+
+    Each agent starts with what its held constructors can build; an event
+    gives its receiver the delivered term at its type, and the receiver's set
+    is re-closed. Sound and complete for type-level possession against the
+    derivability judgement.
+    """
+    walk = _valid_walk(arch, events)
+    return [KnowledgeState(walk, i) for i in range(len(events) + 1)]

@@ -11,6 +11,8 @@ The derivability reference decides each judgement by scanning the trace
 backwards from the prefix, the direct reading of the derivation rules. It
 costs O(L) per lookup and recurses once per delivery, so it serves only as
 the reference the package's delivery-index semantics is compared against.
+The closure reference stores every prefix's state in full; the package
+reads each prefix from the tables of one walk.
 
 The tokenizer reference walks the text one character at a time and tracks
 line and column as it goes; the package tokenizes with one regular
@@ -47,6 +49,7 @@ from privarch import (
     term_to_str,
     uncurry,
 )
+from privarch.semantics import constructor_rules, receive, seed_witnesses
 from privarch.terms import is_atomic
 
 DEFAULT_MAX_SIZE = 6
@@ -198,7 +201,7 @@ def reference_check_trace_valid(arch: Architecture, events: Sequence[Event]) -> 
 def _require_valid(arch: Architecture, events: Sequence[Event]) -> None:
     verdict = reference_check_trace_valid(arch, events)
     if not verdict.valid:
-        raise InvalidTraceError(str(verdict))
+        raise InvalidTraceError(verdict)
 
 
 def reference_derives(
@@ -249,6 +252,42 @@ def reference_decompose(
 IDENT = "ident"
 NUMBER = "number"
 PUNCT = "punct"
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    """One prefix's type-level possession, stored in full."""
+
+    possessed: dict[AgentId, frozenset[AtomicType]]
+    witnesses: dict[tuple[AgentId, AtomicType], TermExpr]
+
+    def types_of(self, agent: AgentId) -> frozenset[AtomicType]:
+        return self.possessed.get(agent, frozenset())
+
+
+def reference_possession_closure(
+    arch: Architecture, events: Sequence[Event]
+) -> list[ReferenceState]:
+    """The possession fold with a full state per prefix: each event that
+    gives its receiver a new type copies both maps, and an event that gives
+    none repeats the previous state. It shares the package's per-agent fold
+    (`seed_witnesses`, `receive`) but not its trace walk, and validates with
+    the backward-scan reference."""
+    _require_valid(arch, events)
+    rules = constructor_rules(arch)
+    owned = seed_witnesses(rules)
+    possessed = {a: frozenset(m) for a, m in owned.items() if m}
+    witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}
+    states = [ReferenceState(possessed, witnesses)]
+    for e in events:
+        if not receive(rules, owned, e):
+            states.append(states[-1])
+            continue
+        mine = owned[e.receiver]
+        possessed = {**possessed, e.receiver: frozenset(mine)}
+        witnesses = {**witnesses, **{(e.receiver, t): w for t, w in mine.items()}}
+        states.append(ReferenceState(possessed, witnesses))
+    return states
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from privarch import (
     validate_architecture,
 )
 
+from conftest import FIXTURES
+
 INFO = Base("INFO")
 CONSENT = Base("CONSENT")
 POLICY = Base("POLICY")
@@ -89,8 +91,8 @@ def test_interface_kind_requires_prefix_and_owner():
 
 
 def test_agent_ids_keep_their_value_semantics():
-    # The hash is stored at construction; it is the hash of the fields, and
-    # equality, repr, `replace` and pickling behave as for any frozen value.
+    # The hash is stored at construction; it is the hash of the fields (an
+    # absent owner counts as ""), and equality, repr, `replace` and pickling behave as for any frozen value.
     i = AgentId.interface_of(CHILD)
     assert hash(i) == hash(("I:Child", INTERFACE, "Child"))
     assert i == AgentId("I:Child", INTERFACE, "Child") and i != CHILD
@@ -123,6 +125,32 @@ def test_unpickled_agent_ids_hash_in_their_own_process(tmp_path):
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout == "True\n"
+
+
+def test_agent_hashes_and_set_order_depend_on_the_hash_seed_alone():
+    # An original agent has no owner, and hash(None) may be an address that
+    # changes from process to process; under one PYTHONHASHSEED, two
+    # processes must give the same hashes and the same agent set order.
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from privarch import AgentId, parse_spec\n"
+        "print(hash(AgentId('Child')))\n"
+        "for name in sys.argv[1:]:\n"
+        "    arch = parse_spec(Path(name).read_text()).architecture\n"
+        "    print([a.name for a in arch.agents])\n"
+    )
+    specs = [str(FIXTURES / "coppa.parch"), str(FIXTURES / "coppa_safe.parch")]
+    src = str(Path(privarch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", probe, *specs],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for _ in range(2)
+    }
+    assert len(outputs) == 1
 
 
 def test_sort_key_orders_originals_first():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from privarch import dot_counts
+from privarch import dot_counts, semantics
 from privarch.cli import build_parser, main
 
 from conftest import FIXTURES, read_fixture
@@ -77,6 +77,31 @@ def test_check_empty_trace_goal_unmet_is_informational(capsys, tmp_path):
     assert code == 0
     assert "goal pos(Website, INFO): not met (informational)" in out
     assert "compliant" in out
+
+
+def test_check_runs_each_event_once(monkeypatch, capsys, tmp_path):
+    # One walk per `check`: the per-event step runs once per event of a valid
+    # trace, and up to the first bad event of an invalid one.
+    calls = []
+    step = semantics._check_event_structure
+
+    def counted(arch, i, e, types):
+        calls.append(i)
+        return step(arch, i, e, types)
+
+    monkeypatch.setattr(semantics, "_check_event_structure", counted)
+    spec, trace = FIXTURES / "coppa_safe_relaxed.parch", FIXTURES / "coppa_witness.trace"
+    assert main(["check", str(spec), str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("valid trace (12 events)")
+    assert calls == list(range(12))
+
+    calls.clear()
+    lines = trace.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines[:-1]) + "Child -> Website : info : INFO;\n")
+    assert main(["check", str(spec), str(bad)]) == 1
+    assert "invalid trace: invalid at event 11: channel violation" in capsys.readouterr().out
+    assert calls == list(range(12))
 
 
 def test_check_json_payload(capsys, tmp_path):
@@ -372,6 +397,37 @@ def test_dot_partition_counts(capsys):
     assert code == 0
     assert (payload["nodes"], payload["edges"]) == (9, 558)
     assert "subgraph cluster_" in payload["dot"]
+
+
+@pytest.mark.parametrize(
+    "name, algorithm",
+    [
+        ("coppa.parch", None),
+        ("coppa_v1.parch", None),
+        ("coppa_safe.parch", None),
+        ("coppa_safe_relaxed.parch", None),
+        ("coppa_v1_safe.parch", None),
+        ("coppa_v1.parch", "1"),
+        ("coppa.parch", "2"),
+    ],
+)
+def test_dot_counts_match_the_written_file(capsys, tmp_path, name, algorithm):
+    # `dot` counts from the architecture; the counts must be those of the DOT
+    # text it writes, for the fixtures as given and for their v1 and v2
+    # syntheses, with and without a partition.
+    spec = fixture_path(name)
+    if algorithm is not None:
+        spec = str(tmp_path / "safe.parch")
+        code, _, _ = run(
+            capsys, "synthesize", fixture_path(name), "--algorithm", algorithm, "-o", spec
+        )
+        assert code == 0
+    for extra in ([], ["--partition", "canonical"]):
+        out_path = tmp_path / "arch.dot"
+        code, out, _ = run(capsys, "dot", spec, *extra, "-o", str(out_path))
+        assert code == 0
+        nodes, edges = dot_counts(out_path.read_text())
+        assert out == f"wrote {out_path} ({nodes} nodes, {edges} edges)\n"
 
 
 # ---------------------------------------------------------------------------

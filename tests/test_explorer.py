@@ -18,6 +18,7 @@ from privarch import (
     AgentId,
     Architecture,
     Base,
+    Con,
     ConstructorDecl,
     Event,
     ExplorerError,
@@ -27,6 +28,7 @@ from privarch import (
     NegCreate,
     NegPossess,
     Positive,
+    ReconstructionFailure,
     TypeSystem,
     build_safe_architecture_v2,
     check_local,
@@ -38,6 +40,7 @@ from privarch import (
     possession_closure,
     relax_with_local_constraints,
 )
+from privarch import explorer
 from privarch.explorer import DEFAULT_BUDGET
 
 from conftest import read_fixture
@@ -61,6 +64,18 @@ B = Base("B")
 
 NEG_INFO = NegPossess(WEBSITE, INFO, WEBSITE, CONSENT)
 NEG_CONSENT = NegPossess(WEBSITE, CONSENT, PARENT, Base("POLICY"))
+
+
+def test_an_invalid_reconstruction_names_its_first_bad_event(coppa_doc, monkeypatch):
+    # The explorer validates a rebuilt trace once, through the possession
+    # walk; a trace that walk rejects is an abstraction bug, reported with
+    # the index and reason of its first bad event.
+    arch = coppa_doc.architecture
+    bad = (Event(CHILD, Con("info"), INFO, WEBSITE), Event(WEBSITE, Con("info"), INFO, CHILD))
+    monkeypatch.setattr(explorer, "reconstruct_trace", lambda arch, abstract: bad)
+    with pytest.raises(ReconstructionFailure) as failure:
+        explore(arch, coppa_doc.constraints, depth=3)
+    assert str(failure.value) == "reconstructed trace invalid at index 1: channel"
 
 
 def gate_arch(forward_channel: bool) -> Architecture:
