@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from itertools import islice
 
 from .architecture import ArchitectureError
 from .constraints import (
@@ -35,7 +36,7 @@ from .dsl import (
     parse_trace,
     print_spec,
 )
-from .dot import export_dot
+from .dot import dot_lines, export_dot
 from .explorer import ExplorerError, explore
 from .semantics import TraceError
 
@@ -285,17 +286,22 @@ def cmd_dot(args: argparse.Namespace) -> int:
     partition = None
     if args.partition:
         partition = _partition_for(args, doc.architecture)
-    text = export_dot(doc.architecture, partition)
     # One node per agent and one edge per channel type, as export_dot writes.
     nodes = len(doc.architecture.agents)
     edges = sum(len(types) for types in doc.architecture.channels.values())
+    if args.output and not args.json:
+        # Only the file needs the text: write the lines as they are made, a
+        # batch per write, since one write per line costs more than a join.
+        lines = dot_lines(doc.architecture, partition)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            while batch := list(islice(lines, 1024)):
+                fh.write("\n".join(batch) + "\n")
+        print(f"wrote {args.output} ({nodes} nodes, {edges} edges)")
+        return 0
+    text = export_dot(doc.architecture, partition)
     if args.output:
         _write(args.output, text)
-    payload = {"nodes": nodes, "edges": edges, "dot": text}
-    human = [text.rstrip("\n")] if not args.output else [
-        f"wrote {args.output} ({nodes} nodes, {edges} edges)"
-    ]
-    _emit(args, payload, human)
+    _emit(args, {"nodes": nodes, "edges": edges, "dot": text}, [text.rstrip("\n")])
     return 0
 
 

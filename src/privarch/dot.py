@@ -8,6 +8,8 @@ canonical agent and type orders.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .architecture import Architecture, ORIGINAL
 from .terms import TypeSetText
 from .verifier import Partition
@@ -23,12 +25,15 @@ def _node_line(agent) -> str:
     return f"  {_quote(agent.name)} [shape=box, style=dashed];"
 
 
-def export_dot(arch: Architecture, partition: Partition | None = None) -> str:
-    lines = ["digraph architecture {", "  rankdir=LR;"]
+def dot_lines(arch: Architecture, partition: Partition | None = None) -> Iterator[str]:
+    """The lines of the DOT text, without their newlines, each made as it is
+    asked for, so a writer never holds the whole text."""
+    yield "digraph architecture {"
+    yield "  rankdir=LR;"
 
     agents = arch.sorted_agents()
     if partition is None:
-        lines.extend(_node_line(a) for a in agents)
+        yield from map(_node_line, agents)
     else:
         cells: dict = {}
         loose = []
@@ -39,22 +44,26 @@ def export_dot(arch: Architecture, partition: Partition | None = None) -> str:
             else:
                 cells.setdefault(owner, []).append(a)
         for i, owner in enumerate(sorted(cells, key=lambda a: a.sort_key)):
-            lines.append(f"  subgraph cluster_{i} {{")
-            lines.append(f"    label={_quote(owner.name)};")
+            yield f"  subgraph cluster_{i} {{"
+            yield f"    label={_quote(owner.name)};"
             for a in sorted(cells[owner], key=lambda a: a.sort_key):
-                lines.append("  " + _node_line(a))
-            lines.append("  }")
-        lines.extend(_node_line(a) for a in loose)
+                yield "  " + _node_line(a)
+            yield "  }"
+        yield from map(_node_line, loose)
 
     labels = TypeSetText(
         arch.type_system.atomic_types, lambda names: [f" [label={_quote(n)}];" for n in names]
     )
     for (s, r), types in arch.sorted_channels():
         edge = f"  {_quote(s.name)} -> {_quote(r.name)}"
-        lines.extend(edge + label for label in labels(types))
+        for label in labels(types):
+            yield edge + label
 
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}"
+
+
+def export_dot(arch: Architecture, partition: Partition | None = None) -> str:
+    return "\n".join(dot_lines(arch, partition)) + "\n"
 
 
 def dot_counts(dot: str) -> tuple[int, int]:

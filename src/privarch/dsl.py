@@ -849,6 +849,9 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     exist in the architecture; terms are resolved structurally and validated
     later by the trace checker."""
     events: list[Event] = []
+    # Each distinct printed-form statement's event, keyed by its sender,
+    # receiver and payload text: a repeat is the same object.
+    known: dict[tuple[str, str, str], Event] = {}
     # Each distinct `term : TYPE`, keyed by its raw text; agents resolve per event.
     payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     # Equal subterms of different payloads are one object too.
@@ -858,15 +861,21 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     def read_fast(m: re.Match[str]) -> Event | None:
         """The event of a statement in printed form, or None when `_Stream`
         must read it again because reading it raises."""
-        sender, receiver, key = m.groups()
+        groups = m.groups()
+        event = known.get(groups)
+        if event is not None:
+            return event
+        sender, receiver, key = groups
         try:
             payload = payloads.get(key)
             if payload is None:
                 payload = _read_payload(_Stream(text, m.start(3), m.end(3)), shared)
                 payloads[key] = payload
-            return Event(agent_named(sender), payload[0], payload[1], agent_named(receiver))
+            event = Event(agent_named(sender), payload[0], payload[1], agent_named(receiver))
         except (DslError, ArchitectureError, TraceError):
             return None
+        known[groups] = event
+        return event
 
     for ts in _statements(text, _FAST_EVENT):
         if isinstance(ts, re.Match):
@@ -887,9 +896,12 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
         sender = _known_agent(ts, arch, sender_i)
         receiver = _known_agent(ts, arch, receiver_i)
         try:
-            events.append(Event(sender, term, ty, receiver))
+            event = Event(sender, term, ty, receiver)
         except TraceError as exc:
             raise ts.error(ResolveError, str(exc), sender_i) from exc
+        # A later repeat of this statement in printed form is this event.
+        known.setdefault((sender.name, receiver.name, key), event)
+        events.append(event)
     return tuple(events)
 
 

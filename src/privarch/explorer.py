@@ -46,6 +46,7 @@ from .semantics import (
     InvalidTraceError,
     KnowledgeState,
     Trace,
+    TypeRules,
     constructor_rules,
     possession_closure,
     receive,
@@ -54,7 +55,7 @@ from .semantics import (
 
 # Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
 from .semantics import check_trace_valid  # noqa: F401
-from .terms import AtomicType, signature_parts, type_name, type_sort_key
+from .terms import AtomicType, type_name
 
 DEFAULT_DEPTH = 12
 DEFAULT_BUDGET = 1_000_000
@@ -103,33 +104,15 @@ def default_budget() -> int:
     return value
 
 
-class _Encoding:
-    """Bit-packed view of an architecture: agents in canonical order
-    (originals before interfaces), atomic types as bit positions, the whole
-    knowledge state one integer with gate-discharge bits above the fields."""
+class _Encoding(TypeRules):
+    """Bit-packed view of an architecture: the agents, types and constructor
+    rows of `TypeRules`, the whole knowledge state one integer (one field of
+    type bits per agent) with gate-discharge bits above the fields."""
 
     def __init__(self, arch: Architecture, gates: Sequence[LocalSend]):
-        self.agents: list[AgentId] = arch.sorted_agents()
-        self.agent_idx = {a: i for i, a in enumerate(self.agents)}
-        self.types: list[AtomicType] = sorted(
-            arch.type_system.atomic_types, key=type_sort_key
-        )
-        self.type_idx = {t: i for i, t in enumerate(self.types)}
-        self.width = len(self.types)
+        super().__init__(arch)
         self.type_mask = (1 << self.width) - 1
         self.gate_shift = len(self.agents) * self.width
-
-        # Per agent: constructor rows (args mask, target idx, arg idxs in
-        # ascending order), constructor name order.
-        self.ctors: list[list[tuple[int, int, tuple[int, ...]]]] = []
-        for a in self.agents:
-            rows = []
-            for name in sorted(arch.holdings_of(a)):
-                args, target = signature_parts(arch.type_system.constructor(name))
-                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
-                mask = sum(1 << idx for idx in arg_idxs)
-                rows.append((mask, self.type_idx[target], arg_idxs))
-            self.ctors.append(rows)
 
         # The gate table, keyed by (sender idx, type idx, receiver idx):
         # required - gates that must already be discharged for this send;
@@ -163,26 +146,6 @@ class _Encoding:
                 if (si, ti, ri) in self.gate_sets:
                     sets_mask |= bit
             self.channels.append((si, ri, mask, req_mask, sets_mask))
-
-        self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
-
-    def closure(self, agent: int, mask: int) -> int:
-        memo = self._closure_memo[agent]
-        out = memo.get(mask)
-        if out is not None:
-            return out
-        closed = mask
-        changed = True
-        while changed:
-            changed = False
-            for args_mask, target, _ in self.ctors[agent]:
-                if (closed >> target) & 1:
-                    continue
-                if (closed & args_mask) == args_mask:
-                    closed |= 1 << target
-                    changed = True
-        memo[mask] = closed
-        return closed
 
     def initial_state(self) -> int:
         state = 0

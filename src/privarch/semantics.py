@@ -7,14 +7,17 @@ constructor to derivable arguments. Possession is monotone along a trace.
 
 One walk over a trace checks each event, indexes its delivery and folds it
 into possession, recording when each agent first possesses each type; the
-state at every prefix is read from those tables.
+state at every prefix is read from those tables. The walk folds types as bit
+masks and skips an event object it has already walked. Witness terms, one
+canonical term per possessed (agent, type), come from a separate fold that
+only `possession_closure` and the explorer's trace reconstruction run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Mapping, Sequence
+import functools
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .terms import (
@@ -61,18 +64,57 @@ class NotDerivable(TraceError):
     pass
 
 
-@dataclass(frozen=True)
 class Event:
+    """One send: `sender` passes `term`, at atomic type `msg_type`, to
+    `receiver`. Immutable and slotted, with the equality, hash, `repr` and
+    pickling a frozen dataclass would give it."""
+
+    __slots__ = ("sender", "term", "msg_type", "receiver")
+    __match_args__ = ("sender", "term", "msg_type", "receiver")
+
     sender: AgentId
     term: TermExpr
     msg_type: AtomicType
     receiver: AgentId
 
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
-            raise EventTypeError(f"event sends {self.sender.name} to itself")
-        if not is_atomic(self.msg_type):
+    def __init__(
+        self, sender: AgentId, term: TermExpr, msg_type: AtomicType, receiver: AgentId
+    ) -> None:
+        if sender == receiver:
+            raise EventTypeError(f"event sends {sender.name} to itself")
+        if not is_atomic(msg_type):
             raise EventTypeError("events carry atomic types only")
+        init = object.__setattr__
+        init(self, "sender", sender)
+        init(self, "term", term)
+        init(self, "msg_type", msg_type)
+        init(self, "receiver", receiver)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.sender, self.term, self.msg_type, self.receiver)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return (Event, self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(sender={self.sender!r}, term={self.term!r}, "
+            f"msg_type={self.msg_type!r}, receiver={self.receiver!r})"
+        )
 
     def __str__(self) -> str:
         return (
@@ -214,40 +256,49 @@ def generation_decompose(
 
 class KnowledgeState:
     """Type-level possession per agent after the first `prefix` events of a
-    walked trace, with one canonical witness term per (agent, type).
-    Witnesses are assigned once, smallest candidate first (by term size, then
-    printed form), and never replaced, so a state reads the walk's final
-    witnesses, keeping those possessed by its prefix. `possessed` and
+    valid trace, with one canonical witness term per (agent, type).
+    `first[agent][type]` is the first prefix at which the agent possesses the
+    type, from the trace's walk. `owned()` returns each agent's witnesses
+    after the whole trace, from the witness fold, which runs when a witness
+    is first read. Witnesses are assigned once, smallest candidate first (by
+    term size, then printed form), and never replaced, so a state reads the
+    final witnesses, keeping those possessed by its prefix. `possessed` and
     `witnesses` are built on each access."""
 
-    __slots__ = ("_walk", "prefix")
+    __slots__ = ("_first", "_owned", "prefix")
 
-    def __init__(self, walk: TraceWalk, prefix: int) -> None:
-        self._walk = walk
+    def __init__(
+        self,
+        first: Mapping[AgentId, Mapping[AtomicType, int]],
+        owned: Callable[[], Mapping[AgentId, Mapping[AtomicType, TermExpr]]],
+        prefix: int,
+    ) -> None:
+        self._first = first
+        self._owned = owned
         self.prefix = prefix
 
     def types_of(self, agent: AgentId) -> frozenset[AtomicType]:
         return frozenset(
-            t for t, k in self._walk.first.get(agent, {}).items() if k <= self.prefix
+            t for t, k in self._first.get(agent, {}).items() if k <= self.prefix
         )
 
     def witness(self, agent: AgentId, ty: AtomicType) -> TermExpr:
-        if self._walk.first.get(agent, {}).get(ty, self.prefix + 1) > self.prefix:
+        if self._first.get(agent, {}).get(ty, self.prefix + 1) > self.prefix:
             raise KeyError((agent, ty))
-        return self._walk.owned[agent][ty]
+        return self._owned()[agent][ty]
 
     @property
     def possessed(self) -> dict[AgentId, frozenset[AtomicType]]:
         """Each agent that possesses some type, with its types."""
-        return {a: tys for a in self._walk.first if (tys := self.types_of(a))}
+        return {a: tys for a in self._first if (tys := self.types_of(a))}
 
     @property
     def witnesses(self) -> dict[tuple[AgentId, AtomicType], TermExpr]:
         return {
-            (a, t): self._walk.owned[a][t]
-            for a, firsts in self._walk.first.items()
-            for t, k in firsts.items()
-            if k <= self.prefix
+            (a, t): w
+            for a, mine in self._owned().items()
+            for t, w in mine.items()
+            if self._first[a][t] <= self.prefix
         }
 
     def __eq__(self, other: object) -> bool:
@@ -259,6 +310,53 @@ class KnowledgeState:
         return f"KnowledgeState(possessed={self.possessed!r}, witnesses={self.witnesses!r})"
 
 
+class TypeRules:
+    """The type level of an architecture's constructors, as bit masks.
+
+    Agents are in canonical order (originals before interfaces) and atomic
+    types are bit positions in `type_sort_key` order. `ctors[agent]` holds
+    the agent's constructors in name order as rows (argument mask, target
+    index, argument indices ascending). `closure` closes a possession mask
+    under one agent's rows, memoized per agent and mask. `walk_trace` folds
+    a trace with it, and the explorer's search encoding extends it."""
+
+    def __init__(self, arch: Architecture) -> None:
+        ts = arch.type_system
+        self.agents: list[AgentId] = arch.sorted_agents()
+        self.agent_idx = {a: i for i, a in enumerate(self.agents)}
+        self.types: list[AtomicType] = sorted(ts.atomic_types, key=type_sort_key)
+        self.type_idx = {t: i for i, t in enumerate(self.types)}
+        self.width = len(self.types)
+        self.ctors: list[list[tuple[int, int, tuple[int, ...]]]] = []
+        for a in self.agents:
+            rows = []
+            for name in sorted(arch.holdings_of(a)):
+                args, target = signature_parts(ts.constructor(name))
+                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
+                mask = sum(1 << idx for idx in arg_idxs)
+                rows.append((mask, self.type_idx[target], arg_idxs))
+            self.ctors.append(rows)
+        self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
+
+    def closure(self, agent: int, mask: int) -> int:
+        memo = self._closure_memo[agent]
+        out = memo.get(mask)
+        if out is not None:
+            return out
+        closed = mask
+        changed = True
+        while changed:
+            changed = False
+            for args_mask, target, _ in self.ctors[agent]:
+                if (closed >> target) & 1:
+                    continue
+                if (closed & args_mask) == args_mask:
+                    closed |= 1 << target
+                    changed = True
+        memo[mask] = closed
+        return closed
+
+
 Rule = tuple[str, tuple[AtomicType, ...], AtomicType]
 # One agent's rules: every row, and the rows that take each type as an argument.
 AgentRules = tuple[list[Rule], dict[AtomicType, list[Rule]]]
@@ -266,7 +364,7 @@ AgentRules = tuple[list[Rule], dict[AtomicType, list[Rule]]]
 
 def constructor_rules(arch: Architecture) -> dict[AgentId, AgentRules]:
     """Each agent's held constructors as (name, argument types, target)
-    rows, sorted by name, for every agent in sorted order. A possession fold
+    rows, sorted by name, for every agent in sorted order. The witness fold
     builds them once and passes them to every step."""
     ts = arch.type_system
     rules: dict[AgentId, AgentRules] = {}
@@ -353,24 +451,28 @@ class TraceWalk:
     event (the whole trace when `verdict` is valid).
 
     `delivered` maps, per agent, each term sent to it to its first delivery
-    index. `owned` holds each agent's canonical witness per type after the
-    walked events, and `first[agent][type]` the first prefix at which the
-    agent possesses the type (0 for what its held constructors build);
-    each agent's entries are in the order they were gained. `first_any[type]`
-    is the first prefix at which some agent possesses the type. Possession
-    only grows and witnesses are never replaced, so these tables give the
-    state at every prefix."""
+    index. `first[agent][type]` is the first prefix at which the agent
+    possesses the type (0 for what its held constructors build), and
+    `first_any[type]` the first prefix at which some agent does. Possession
+    only grows, so these tables give the type-level state at every prefix.
+    The walk builds no witness term; `possession_closure` folds those."""
 
     verdict: TraceCheck
     delivered: dict[AgentId, dict[TermExpr, int]]
-    owned: dict[AgentId, dict[AtomicType, TermExpr]]
     first: dict[AgentId, dict[AtomicType, int]]
     first_any: dict[AtomicType, int]
 
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
-    """Check validity, index deliveries and fold possession in one loop over
-    the events, stopping at the first invalid one.
+    """Check validity, index deliveries and fold type-level possession in
+    one loop over the events, stopping at the first invalid one.
+
+    Each agent's possession is a bit mask over `TypeRules`, closed under its
+    constructors when a delivery sets a new bit. An event object already
+    walked is skipped: it passed every check then, its sender can still
+    derive its term since possession only grows, and its receiver already
+    has the term indexed and the type possessed. An equal event that is a
+    different object is walked as usual.
 
     Structural breakage (unknown agents, ill-typed terms) raises, since the
     verdict reasons are reserved for the two semantic failures: the channel
@@ -378,12 +480,32 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
     """
     delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
     types: dict[TermExpr, TypeExpr] = {}
-    rules = constructor_rules(arch)
-    owned = seed_witnesses(rules)
-    first = {a: dict.fromkeys(mine, 0) for a, mine in owned.items()}
-    first_any = {t: 0 for mine in owned.values() for t in mine}
+    rules = TypeRules(arch)
+    agent_idx, type_list, closure = rules.agent_idx, rules.types, rules.closure
+    bit_of = {t: 1 << i for i, t in enumerate(type_list)}
+    held: dict[AgentId, int] = {}
+    first: dict[AgentId, dict[AtomicType, int]] = {}
+    first_any: dict[AtomicType, int] = {}
+
+    def gain(agent: AgentId, new: int, prefix: int) -> None:
+        mine = first[agent]
+        while new:
+            low = new & -new
+            new ^= low
+            t = type_list[low.bit_length() - 1]
+            mine[t] = prefix
+            first_any.setdefault(t, prefix)
+
+    for ai, agent in enumerate(rules.agents):
+        held[agent] = closure(ai, 0)
+        first[agent] = {}
+        gain(agent, held[agent], 0)
+
+    walked: set[int] = set()
     verdict = TraceCheck(True)
     for i, e in enumerate(events):
+        if id(e) in walked:
+            continue
         _check_event_structure(arch, i, e, types)
         if e.msg_type not in arch.channel_types(e.sender, e.receiver):
             verdict = TraceCheck(False, i, CHANNEL)
@@ -391,14 +513,15 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
         if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
             verdict = TraceCheck(False, i, POSSESSION)
             break
-        delivered[e.receiver].setdefault(e.term, i)
-        if receive(rules, owned, e):
-            # The receiver's new witnesses follow its old ones in `owned`.
-            gained = first[e.receiver]
-            for t in islice(owned[e.receiver], len(gained), None):
-                gained[t] = i + 1
-                first_any.setdefault(t, i + 1)
-    return TraceWalk(verdict, delivered, owned, first, first_any)
+        walked.add(id(e))
+        receiver = e.receiver
+        delivered[receiver].setdefault(e.term, i)
+        had = held[receiver]
+        bit = bit_of[e.msg_type]
+        if not had & bit:
+            now = held[receiver] = closure(agent_idx[receiver], had | bit)
+            gain(receiver, now & ~had, i + 1)
+    return TraceWalk(verdict, delivered, first, first_any)
 
 
 def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
@@ -415,14 +538,28 @@ def check_trace_valid(arch: Architecture, events: Sequence[Event]) -> TraceCheck
 
 
 def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[KnowledgeState]:
-    """One KnowledgeState per prefix (length of trace plus one), read from
-    the tables of one `walk_trace`; raises InvalidTraceError on an invalid
-    trace.
+    """One KnowledgeState per prefix (length of trace plus one); raises
+    InvalidTraceError on an invalid trace.
 
-    Each agent starts with what its held constructors can build; an event
-    gives its receiver the delivered term at its type, and the receiver's set
-    is re-closed. Sound and complete for type-level possession against the
-    derivability judgement.
+    The types each agent possesses at each prefix come from one `walk_trace`.
+    The witness terms come from a second loop over the valid trace, the
+    witness fold `reconstruct_trace` also runs, made when a state first
+    reads a witness: each agent starts with what its held constructors can
+    build; an event gives its receiver the delivered term at its type, and
+    the receiver's set is re-closed. Sound and complete for type-level
+    possession against the derivability judgement.
     """
     walk = _valid_walk(arch, events)
-    return [KnowledgeState(walk, i) for i in range(len(events) + 1)]
+    trace = tuple(events)
+
+    # Witnesses are read by few callers (the explorer reads types only), so
+    # the fold runs once, when the first state reads one.
+    @functools.cache
+    def owned() -> dict[AgentId, dict[AtomicType, TermExpr]]:
+        rules = constructor_rules(arch)
+        mine = seed_witnesses(rules)
+        for e in trace:
+            receive(rules, mine, e)
+        return mine
+
+    return [KnowledgeState(walk.first, owned, i) for i in range(len(trace) + 1)]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from privarch import dot_counts, semantics
+from privarch import canonical_partition, dot_counts, export_dot, parse_spec, semantics
 from privarch.cli import build_parser, main
 
 from conftest import FIXTURES, read_fixture
@@ -102,6 +102,27 @@ def test_check_runs_each_event_once(monkeypatch, capsys, tmp_path):
     assert main(["check", str(spec), str(bad)]) == 1
     assert "invalid trace: invalid at event 11: channel violation" in capsys.readouterr().out
     assert calls == list(range(12))
+
+
+def test_check_walks_a_repeated_statement_once(monkeypatch, capsys, tmp_path):
+    # Every line of the witness trace doubled: each repeat is the event read
+    # for the line before it, and the walk skips an event it has walked.
+    calls = []
+    step = semantics._check_event_structure
+
+    def counted(arch, i, e, types):
+        calls.append(i)
+        return step(arch, i, e, types)
+
+    monkeypatch.setattr(semantics, "_check_event_structure", counted)
+    spec, trace = FIXTURES / "coppa_safe_relaxed.parch", FIXTURES / "coppa_witness.trace"
+    doubled = tmp_path / "doubled.trace"
+    doubled.write_text("".join(line * 2 for line in trace.read_text().splitlines(keepends=True)))
+    assert main(["check", str(spec), str(doubled)]) == 0
+    assert capsys.readouterr().out == (
+        "valid trace (24 events)\ngoal pos(Website, INFO): met\ncompliant\n"
+    )
+    assert calls == list(range(0, 24, 2))
 
 
 def test_check_json_payload(capsys, tmp_path):
@@ -399,18 +420,19 @@ def test_dot_partition_counts(capsys):
     assert "subgraph cluster_" in payload["dot"]
 
 
-@pytest.mark.parametrize(
-    "name, algorithm",
-    [
-        ("coppa.parch", None),
-        ("coppa_v1.parch", None),
-        ("coppa_safe.parch", None),
-        ("coppa_safe_relaxed.parch", None),
-        ("coppa_v1_safe.parch", None),
-        ("coppa_v1.parch", "1"),
-        ("coppa.parch", "2"),
-    ],
-)
+# The fixtures as given, and v1 and v2 syntheses of them.
+DOT_SPECS = [
+    ("coppa.parch", None),
+    ("coppa_v1.parch", None),
+    ("coppa_safe.parch", None),
+    ("coppa_safe_relaxed.parch", None),
+    ("coppa_v1_safe.parch", None),
+    ("coppa_v1.parch", "1"),
+    ("coppa.parch", "2"),
+]
+
+
+@pytest.mark.parametrize("name, algorithm", DOT_SPECS)
 def test_dot_counts_match_the_written_file(capsys, tmp_path, name, algorithm):
     # `dot` counts from the architecture; the counts must be those of the DOT
     # text it writes, for the fixtures as given and for their v1 and v2
@@ -428,6 +450,46 @@ def test_dot_counts_match_the_written_file(capsys, tmp_path, name, algorithm):
         assert code == 0
         nodes, edges = dot_counts(out_path.read_text())
         assert out == f"wrote {out_path} ({nodes} nodes, {edges} edges)\n"
+
+
+@pytest.mark.parametrize("name, algorithm", DOT_SPECS)
+def test_dot_file_is_export_dot_byte_for_byte(capsys, tmp_path, name, algorithm):
+    # `dot -o` writes its lines as they are made; the file must be the text
+    # `export_dot` returns, and `--json -o` must write and report the same.
+    spec = Path(fixture_path(name))
+    if algorithm is not None:
+        spec = tmp_path / "safe.parch"
+        code, _, _ = run(
+            capsys, "synthesize", fixture_path(name), "--algorithm", algorithm, "-o", str(spec)
+        )
+        assert code == 0
+    assert_dot_file_is_export_dot(capsys, tmp_path, spec)
+
+
+def test_dot_file_spanning_several_writes_is_export_dot(capsys, tmp_path):
+    # A v2 synthesis of a five-agent ring has more lines than two writes take.
+    ring = tmp_path / "ring.parch"
+    ring.write_text(
+        "types D0, D1, D2;\n"
+        + "".join(f"agent A{i} holds d{i % 3}: D{i % 3};\n" for i in range(5))
+        + "".join(f"channel A{i} -> A{(i + 1) % 5} : D0, D1, D2;\n" for i in range(5))
+    )
+    spec = tmp_path / "ring.safe.parch"
+    assert run(capsys, "synthesize", str(ring), "-o", str(spec))[0] == 0
+    assert_dot_file_is_export_dot(capsys, tmp_path, spec)
+    assert (tmp_path / "streamed.dot").read_text().count("\n") > 2 * 1024
+
+
+def assert_dot_file_is_export_dot(capsys, tmp_path, spec: Path) -> None:
+    arch = parse_spec(spec.read_text()).architecture
+    for extra, partition in (([], None), (["--partition", "canonical"], canonical_partition(arch.agents))):
+        expected = export_dot(arch, partition).encode("utf-8")
+        streamed, whole = tmp_path / "streamed.dot", tmp_path / "whole.dot"
+        code, _, _ = run(capsys, "dot", str(spec), *extra, "-o", str(streamed))
+        assert code == 0 and streamed.read_bytes() == expected
+        code, payload = run_json(capsys, "dot", str(spec), *extra, "-o", str(whole))
+        assert code == 0 and whole.read_bytes() == expected
+        assert payload["dot"].encode("utf-8") == expected
 
 
 # ---------------------------------------------------------------------------

@@ -771,6 +771,24 @@ def test_printed_trace_scans_only_its_distinct_payloads(monkeypatch, witness_eve
     assert scan.tokens <= len(trace) + payload_tokens
 
 
+def test_repeated_printed_statements_are_one_event(witness_events, coppa_relaxed_doc):
+    # A statement in printed form that repeats an earlier one comes back as
+    # the same object; a respaced repeat is read again and comes back equal.
+    arch = coppa_relaxed_doc.architecture
+    lines = print_trace(tuple(witness_events)).splitlines()
+    trace = parse_trace("\n".join(lines + lines), arch)
+    n = len(lines)
+    assert trace == tuple(witness_events) * 2
+    assert all(trace[i] is trace[i + n] for i in range(n))
+    assert len({id(e) for e in trace}) == n
+
+    first = lines[3]
+    respaced_line = first.replace(" -> ", "  ->  ")
+    again = parse_trace("\n".join([first, respaced_line, first]), arch)
+    assert again[0] is again[2]
+    assert again[1] == again[0] and again[1] is not again[0]
+
+
 # Errors found after a statement was read by a pattern, against the
 # character-by-character tokenizer's positions.
 

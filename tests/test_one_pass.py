@@ -5,7 +5,9 @@ gives against per-prefix references.
 its subject first possesses the trigger. The reference scans every prefix
 state of `possession_closure` with `check_neg_create`/`check_neg_possess`,
 and validates with the backward-scan oracle. The closure's states are in turn
-compared with a fold that stores every prefix in full.
+compared with a fold that stores every prefix in full. The repeat
+differential does the same on traces with repeated events, as one object and
+as equal copies, which the walk may skip and the parser may share.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from privarch import (
     AgentId,
     Architecture,
+    Event,
     LocalSend,
     NegCreate,
     NegPossess,
@@ -26,7 +29,10 @@ from privarch import (
     check_neg_possess,
     check_positive,
     check_trace_compliance,
+    check_trace_valid,
+    parse_trace,
     possession_closure,
+    print_trace,
 )
 from generators import (
     corrupt_event,
@@ -45,13 +51,15 @@ def _verdict(check):
     return (check.valid, check.index, check.reason)
 
 
-def reference_report(arch: Architecture, events, constraints) -> tuple:
+def reference_report(
+    arch: Architecture, events, constraints, closure=possession_closure
+) -> tuple:
     """Validity, negative and gate violations, and positives, each prefix
-    state scanned in turn."""
+    state of `closure` scanned in turn."""
     validity = reference_check_trace_valid(arch, events)
     if not validity.valid:
         return (_verdict(validity), (), (), {}, False)
-    states = possession_closure(arch, events)
+    states = closure(arch, events)
     negatives, gates, positives = [], [], {}
     for c in constraints:
         if isinstance(c, NegCreate):
@@ -161,3 +169,84 @@ def test_an_agent_outside_the_architecture_possesses_nothing():
         assert one_pass_report(arch, events, constraints) == reference_report(
             arch, events, constraints
         )
+
+
+# Repeated events: the walk skips an event object it has already walked, and
+# `parse_trace` gives a repeated printed statement the same object.
+
+
+def copy_of(e: Event) -> Event:
+    return Event(e.sender, e.term, e.msg_type, e.receiver)
+
+
+def with_repeats(rng: random.Random, events: list, count: int) -> list:
+    """The events with `count` repeats of earlier ones inserted at later
+    positions, each the same object or an equal copy."""
+    out = list(events)
+    for _ in range(count if out else 0):
+        k = rng.randrange(len(out))
+        e = out[k] if rng.random() < 0.5 else copy_of(out[k])
+        out.insert(rng.randint(k + 1, len(out)), e)
+    return out
+
+
+def repeat_cases(seed: int) -> tuple[Architecture, list[list], list, int]:
+    """`random_case` with repeats inserted in each trace. Where a corrupted
+    trace exists, one more copy of it repeats an event from before its bad
+    event right after it; the last item counts those copies."""
+    rng = random.Random(seed)
+    arch, traces, constraints = random_case(seed)
+    cases = [with_repeats(rng, events, rng.randint(1, 6)) for events in traces]
+    after_invalid = 0
+    if len(traces) == 2:
+        bad = traces[1]
+        bad_at = reference_check_trace_valid(arch, bad).index
+        if bad_at:
+            before = bad[rng.randrange(bad_at)]
+            again = before if rng.random() < 0.5 else copy_of(before)
+            cases.append(bad[: bad_at + 1] + [again] + bad[bad_at + 1 :])
+            after_invalid = 1
+    return arch, cases, constraints, after_invalid
+
+
+def assert_repeats_agree(seed: int) -> tuple[int, int, int]:
+    """Compare every check of a repeat case, and of its printed form read
+    back, with the references; returns the number of traces with a repeated
+    event object, of invalid traces, and of repeats after an invalid event."""
+    arch, cases, constraints, after_invalid = repeat_cases(seed)
+    repeated = invalid = 0
+    for events in cases:
+        read_back = list(parse_trace(print_trace(tuple(events)), arch))
+        assert read_back == events
+        expected = reference_report(arch, events, constraints, reference_possession_closure)
+        validity = reference_check_trace_valid(arch, events)
+        for trace in (events, read_back):
+            assert one_pass_report(arch, trace, constraints) == expected, seed
+            assert _verdict(check_trace_valid(arch, trace)) == _verdict(validity), seed
+            if not validity.valid:
+                continue
+            states = possession_closure(arch, trace)
+            reference = reference_possession_closure(arch, trace)
+            assert len(states) == len(reference) == len(trace) + 1
+            for state, ref in zip(states, reference):
+                assert state.possessed == ref.possessed, seed
+                assert state.witnesses == ref.witnesses, seed
+        repeated += len(set(map(id, read_back))) < len(read_back)
+        invalid += not validity.valid
+    return repeated, invalid, after_invalid
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_repeated_events_match_the_references(seed):
+    assert_repeats_agree(seed)
+
+
+def test_the_repeat_differential_meets_repeats_and_invalid_traces():
+    repeated = invalid = after_invalid = 0
+    for seed in range(100):
+        r, i, a = assert_repeats_agree(seed)
+        repeated += r
+        invalid += i
+        after_invalid += a
+    assert repeated >= 100 and invalid >= 30 and after_invalid >= 20

@@ -7,6 +7,9 @@ the acceptance suite re-runs them at the full advertised volume.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -166,6 +169,69 @@ def test_repeated_ill_typed_term_fails_at_its_first_occurrence(coppa):
 def test_event_str_form(coppa):
     e = ev(CHILD, Con("info"), INFO, WEBSITE)
     assert str(e) == "Child -> Website : info : INFO"
+
+
+# `Event` is a slotted class that keeps what the frozen dataclass gave.
+
+
+def test_event_refuses_a_self_send():
+    with pytest.raises(EventTypeError) as exc:
+        Event(CHILD, Con("info"), INFO, AgentId("Child"))
+    assert str(exc.value) == "event sends Child to itself"
+
+
+def test_event_refuses_an_arrow_type():
+    with pytest.raises(EventTypeError) as exc:
+        Event(CHILD, Con("info"), Arrow(INFO, INFO), WEBSITE)
+    assert str(exc.value) == "events carry atomic types only"
+
+
+def test_event_matches_by_position_and_keyword():
+    match ev(CHILD, Con("info"), INFO, WEBSITE):
+        case Event(sender, term, msg_type=ty, receiver=receiver):
+            assert (sender, term, ty, receiver) == (CHILD, Con("info"), INFO, WEBSITE)
+        case _:
+            pytest.fail("no match")
+
+
+def test_event_equality_is_field_equality():
+    e = ev(CHILD, apply("info", []), INFO, WEBSITE)
+    assert e == ev(AgentId("Child"), Con("info"), Base("INFO"), AgentId("Website"))
+    assert e != ev(CHILD, Con("info"), INFO, PARENT)
+    assert e != ev(CHILD, Con("other"), INFO, WEBSITE)
+    assert e != (CHILD, Con("info"), INFO, WEBSITE)
+
+
+def test_equal_events_hash_alike():
+    a = ev(CHILD, Con("info"), INFO, WEBSITE)
+    b = ev(AgentId("Child"), Con("info"), INFO, AgentId("Website"))
+    assert hash(a) == hash(b) == hash((CHILD, Con("info"), INFO, WEBSITE))
+    assert len({a, b, ev(PARENT, Con("consent"), CONSENT, WEBSITE)}) == 2
+
+
+def test_event_repr_reads_as_the_dataclass_did():
+    assert repr(ev(CHILD, Con("info"), INFO, WEBSITE)) == (
+        "Event(sender=AgentId(name='Child', kind='original', owner=None), "
+        "term=Con(name='info'), msg_type=Base(name='INFO'), "
+        "receiver=AgentId(name='Website', kind='original', owner=None))"
+    )
+
+
+def test_event_pickles_and_copies():
+    e = ev(PARENT, apply("pair", [Con("consent"), Con("policy")]), CONSENT, WEBSITE)
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert back == e and hash(back) == hash(e)
+        assert back.term == e.term and back.receiver == e.receiver
+
+
+def test_event_is_frozen_and_slotted():
+    e = ev(CHILD, Con("info"), INFO, WEBSITE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.term = Con("policy")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.receiver
+    assert not hasattr(e, "__dict__")
+    assert e.term == Con("info") and e.receiver == WEBSITE
 
 
 # ---------------------------------------------------------------------------
