@@ -15,7 +15,6 @@ from .terms import (
     AtomicType,
     TypeSystem,
     is_atomic,
-    signature_parts,
     type_name,
     type_sort_key,
 )
@@ -163,11 +162,8 @@ def can_compute(arch: Architecture, agent: AgentId, target: AtomicType) -> bool:
     """True iff the agent initially holds a constructor whose target is the type."""
     if agent not in arch.agents:
         raise UnknownAgent(agent.name)
-    for name in arch.holdings_of(agent):
-        decl = arch.type_system.constructor(name)
-        if signature_parts(decl)[1] == target:
-            return True
-    return False
+    parts = arch.type_system.parts
+    return any(parts(name)[1] == target for name in arch.holdings_of(agent))
 
 
 def validate_architecture(arch: Architecture) -> VerdictReport:

@@ -17,7 +17,6 @@ import functools
 import json
 import sys
 from dataclasses import replace
-from itertools import islice
 
 from .architecture import ArchitectureError
 from .constraints import (
@@ -281,6 +280,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0 if not outcome.counterexamples and not outcome.missing_witnesses else 1
 
 
+# Characters per write of `dot -o`: one write per line costs more than a
+# join, and a batch is held in memory until it is written.
+_DOT_BATCH = 32 * 1024
+
+
 def cmd_dot(args: argparse.Namespace) -> int:
     doc = _load_spec(args.spec)
     partition = None
@@ -290,11 +294,17 @@ def cmd_dot(args: argparse.Namespace) -> int:
     nodes = len(doc.architecture.agents)
     edges = sum(len(types) for types in doc.architecture.channels.values())
     if args.output and not args.json:
-        # Only the file needs the text: write the lines as they are made, a
-        # batch per write, since one write per line costs more than a join.
-        lines = dot_lines(doc.architecture, partition)
+        # Only the file needs the text: write the lines as they are made.
         with open(args.output, "w", encoding="utf-8") as fh:
-            while batch := list(islice(lines, 1024)):
+            batch: list[str] = []
+            size = 0
+            for block in dot_lines(doc.architecture, partition):
+                batch.append(block)
+                size += len(block)
+                if size >= _DOT_BATCH:
+                    fh.write("\n".join(batch) + "\n")
+                    batch, size = [], 0
+            if batch:
                 fh.write("\n".join(batch) + "\n")
         print(f"wrote {args.output} ({nodes} nodes, {edges} edges)")
         return 0

@@ -26,8 +26,9 @@ def _node_line(agent) -> str:
 
 
 def dot_lines(arch: Architecture, partition: Partition | None = None) -> Iterator[str]:
-    """The lines of the DOT text, without their newlines, each made as it is
-    asked for, so a writer never holds the whole text."""
+    """The lines of the DOT text without their last newline, a node line or
+    all of one channel's edge lines at a time, each made as it is asked for,
+    so a writer never holds the whole text."""
     yield "digraph architecture {"
     yield "  rankdir=LR;"
 
@@ -55,9 +56,10 @@ def dot_lines(arch: Architecture, partition: Partition | None = None) -> Iterato
         arch.type_system.atomic_types, lambda names: [f" [label={_quote(n)}];" for n in names]
     )
     for (s, r), types in arch.sorted_channels():
-        edge = f"  {_quote(s.name)} -> {_quote(r.name)}"
-        for label in labels(types):
-            yield edge + label
+        tails = labels(types)
+        if tails:
+            edge = f"  {_quote(s.name)} -> {_quote(r.name)}"
+            yield edge + ("\n" + edge).join(tails)
 
     yield "}"
 

@@ -27,29 +27,36 @@ statement that cannot be read: a stray character, a shape error, an empty
 statement or a duplicate there comes before anything later in the document,
 a missing final `;` included.
 
-Two readers share the work, and which one reads a statement depends only on
-its spelling. A statement in the printed form (`print_spec`, `print_trace`:
-single spaces, ASCII names, no comment) of a `types`, `agent` or `channel`
-statement or a trace event is read with one pattern match; its compact types
-(`NAME`, `C[X](A)`, `P[X](A)`) are split off by their `, ` and ` -> `
-separators, and what it keeps for later errors are character offsets. The
-pattern reader never raises. A matched statement whose list is spelled
-otherwise, which names a duplicate or whose reading would fail is read again
-from its first token by the token reader, so every error of the first pass
-comes from the token reader. Every other statement (constraints, options,
-partitions, grants, and anything with a comment or other spacing) goes to
-the token reader directly.
+One splitter serves all four kinds of document. When the text has a `#`,
+each comment is first replaced by as many spaces, so offsets, lines and
+columns stay where they were; the statements are then split off at each
+`;`, one at a time with `str.find`, each when the one before it has been
+read.
 
-The token reader splits the text at each `;` outside a comment with one
-regular expression. A statement's leading tokens are scanned one at a time,
-with their offsets; the rest is scanned in one `tokenize` batch only when
-the parser is about to read it, and offsets inside a batch are found again
-only on the error path. In both readers, a channel type list, or a trace
-event's `term : TYPE`, is keyed by its raw text, from its first token to the
-end of the statement, and so is each `ctor: sig` item a pattern reads: a
-repeat is neither scanned nor parsed again, and a repeated list is resolved
-once. Each call keeps its own tables, which fill only after a successful
-parse, so every error keeps its position.
+Two readers share the work, and which one reads a statement depends only on
+its spelling with comments blanked. A `types`, `agent` or `channel`
+statement or a trace event in the printed form (`print_spec`,
+`print_trace`: single spaces, ASCII names) is told by one pattern match on
+its head, which stops where its list or payload starts. The list is taken
+whole: its compact types (`NAME`, `C[X](A)`, `P[X](A)`) are split off at
+their `, ` and ` -> ` separators. What a printed-form statement keeps for
+later errors are character offsets. This reader never raises: a statement
+whose list is spelled otherwise, which names a duplicate or whose reading
+would fail is read again from its first token by the token reader, so every
+error of the first pass comes from the token reader. Every other statement
+(constraints, options, partitions, grants, and anything with other spacing)
+goes to the token reader directly.
+
+The token reader scans a statement's leading tokens one at a time, with
+their offsets; the rest is scanned in one `tokenize` batch only when the
+parser is about to read it, and offsets inside a batch are found again only
+on the error path. In both readers, a channel type list, or a trace event's
+`term : TYPE`, is keyed by its raw text, from its first token to the end of
+the statement, and so is each `ctor: sig` item the printed-form reader
+takes: a repeat is neither scanned nor parsed again, and a repeated list or
+item is resolved once, where it first occurs. A repeated printed-form trace
+event is the same object. Each call keeps its own tables, which fill only
+after a successful parse, so every error keeps its position.
 
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
@@ -128,28 +135,24 @@ _TOKEN = r"->|=>|[\[\](),:;=]|(?:[IO]:(?=[^\W\d]))?[^\W\d]\w*|\d+"
 # pattern avoids possessive and atomic forms, which Python 3.10 lacks.
 _SCAN = re.compile(rf"(?:{_BLANKS})*({_TOKEN}|[^ \t\r\n])?")
 _PUNCT = frozenset(("->", "=>", *"[](),:;="))
-# One statement and its `;`, where a `#` comment runs to the end of its line
-# and may hold `;`; with no `;` left, the rest of the text and an empty group.
-# Every way the loop can go ends at `;` or at the end of the text, so a match
-# never backtracks (`...*;` alone would, exponentially in the `#`s of a tail).
-_STATEMENT = re.compile(r"[^;#]*(?:#[^\n]*[^;#]*)*(;|\Z)")
+# A `#` comment runs to the end of its line and may hold `;`.
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 # `print_spec`, `print_trace` and the benchmark generator write each statement
-# in one shape, with single spaces and ASCII names. Each pattern below reads a
-# statement in that shape, its leading blanks and its `;` with one match; a
-# statement the match rejects is read by `_Stream`. Every quantified piece is
-# followed by a character it cannot take, so a failed match backtracks only
-# linearly, and no possessive or atomic form is used.
+# in one shape, with single spaces and ASCII names. Each pattern below takes
+# the head of a statement in that shape, from its leading blanks to the first
+# character of its list or payload, and so never walks the list; a statement
+# it rejects is read by `_Stream`. Every quantified piece is followed by a
+# character it cannot take, so a failed match backtracks only linearly.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _AGENT = rf"(?:[IO]:)?{_NAME}"
-# From the first token to the end of the statement, with no comment in it.
-_REST = r"([^ \t\r\n;#][^;#]*)"
+_LIST = r"(?=[^ \t\r\n])"  # a list that starts with no blank
 _FAST_SPEC = re.compile(
-    rf"[ \t\r\n]*(?:channel ({_AGENT}) -> ({_AGENT}) : {_REST}"
-    rf"|types {_REST}|agent ({_AGENT})(?: holds {_REST})?);"
+    rf"[ \t\r\n]*(?:channel ({_AGENT}) -> ({_AGENT}) : {_LIST}|types {_LIST}"
+    rf"|agent ({_AGENT})(?: holds {_LIST}|\Z))"
 )
-_FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_REST};")
+_FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_LIST}")
 # One compact atomic type (`NAME`, `C[X](A)`, `P[X](A)`) or constructor name.
 _ATOM = re.compile(rf"([CP])\[({_AGENT})\]\(({_AGENT})\)|{_AGENT}")
 _CTOR = re.compile(rf"{_AGENT}(?:\[{_AGENT}(?:,{_AGENT})*\])*")
@@ -323,33 +326,46 @@ class _Offsets:
 _Site = _Stream | _Offsets
 
 
-def _statements(text: str, fast: re.Pattern[str] | None = None) -> Iterator[_Stream | re.Match[str]]:
-    """The `;`-terminated statements of `text`, in document order. Each is
-    split off when the one before it has been read, so the first statement
-    that cannot be read is the one an error blames. A statement `fast`
-    matches comes as that match, whose reader may still hand it to
-    `_Stream(text, m.start(), m.end() - 1)`."""
+def _blank_comments(text: str) -> str:
+    """`text` with each comment replaced by as many spaces, so that every
+    offset, line and column stays where it was."""
+    if "#" not in text:
+        return text
+    return _COMMENT.sub(lambda m: " " * len(m.group()), text)
+
+
+def _statements(text: str) -> Iterator[tuple[int, int]]:
+    """The `;`-terminated statements of `text`, whose comments are blanked,
+    as the offsets of their first character and of their `;`, in document
+    order. Each is split off when the one before it has been read, so the
+    first statement that cannot be read is the one an error blames; after
+    the last `;`, no token may follow."""
+    find = text.find
     pos = 0
-    while True:
-        if fast is not None:
-            m = fast.match(text, pos)
-            if m is not None:
-                yield m
-                pos = m.end()
-                continue
-        m = _STATEMENT.match(text, pos)
-        if not m.group(1):
-            break
-        ts = _Stream(text, pos, m.end() - 1)
-        if ts.peek() is None:
-            raise ParseError("empty statement", *_line_col(text, m.end() - 1))
-        yield ts
-        pos = m.end()
+    while (stop := find(";", pos)) >= 0:
+        yield pos, stop
+        pos = stop + 1
     tail = tokenize(text, pos)
     if tail:
         raise ParseError(
             "statement is missing its terminating ';'", *_where(text, len(tail) - 1, pos)
         )
+
+
+def _stream(text: str, start: int, stop: int) -> _Stream:
+    """The token reader of the statement [start, stop); ParseError when it
+    holds no token."""
+    ts = _Stream(text, start, stop)
+    if ts.peek() is None:
+        raise ParseError("empty statement", *_line_col(text, stop))
+    return ts
+
+
+def _streams(text: str) -> Iterator[_Stream]:
+    """The token readers of the statements of `text`, in document order."""
+    text = _blank_comments(text)
+    for start, stop in _statements(text):
+        yield _stream(text, start, stop)
 
 
 # --- shared grammar pieces ---------------------------------------------------
@@ -521,22 +537,29 @@ def parse_spec(text: str) -> SpecDocument:
     list_entries: list[tuple[_Site, list[tuple[AtomicType, int]]]] = []
     raw_channels: list[tuple[_Site, int, int, int]] = []
     raw_constraints: list[_Stream] = []
-    raw_holds: list[tuple[_Site, str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
+    # Each held constructor as (name, its position, the signature's types
+    # with their positions, a shift for those positions). Equal `ctor: sig`
+    # items the pattern reader takes share one list of types.
+    raw_holds: list[tuple[_Site, str, list[tuple[str, int, list[tuple[AtomicType, int]], int]]]] = []
     options: dict[str, tuple[int, _Stream, int]] = {}
+    text = _blank_comments(text)
     # What the pattern reader keeps: positions as offsets, each compact type
     # by its text, and each `ctor: sig` item by its text.
     site = _Offsets(text)
     atoms: dict[str, AtomicType] = {}
     held: dict[str, tuple[str, list[tuple[AtomicType, int]]]] = {}
 
-    def read_fast(m: re.Match[str]) -> bool:
-        """Read a statement in printed form. Returns False, having kept
-        nothing, when its list is spelled otherwise or `_Stream` would raise."""
-        sender, receiver, key, type_text, name, holds_text = m.groups()
-        if key is not None:
+    def read_fast(m: re.Match[str], stop: int) -> bool:
+        """Read a statement in printed form, whose list starts where `m`
+        ends. Returns False, having kept nothing, when its list is spelled
+        otherwise or `_Stream` would raise."""
+        sender, receiver, name = m.groups()
+        rest = m.end()
+        if sender is not None:
+            key = text[rest:stop]
             k = type_lists.get(key)
             if k is None:
-                entries = _atoms(key, ", ", m.start(3), atoms)
+                entries = _atoms(key, ", ", rest, atoms)
                 if entries is None:
                     return False
                 k = type_lists[key] = len(list_entries)
@@ -546,8 +569,8 @@ def parse_spec(text: str) -> SpecDocument:
             site.tokens[receiver_i] = receiver
             raw_channels.append((site, sender_i, receiver_i, k))
             return True
-        if type_text is not None:
-            entries = _atoms(type_text, ", ", 0, atoms)
+        if name is None:
+            entries = _atoms(text[rest:stop], ", ", 0, atoms)
             if entries is None:
                 return False
             types = [ty for ty, _ in entries]
@@ -562,9 +585,9 @@ def parse_spec(text: str) -> SpecDocument:
         except ArchitectureError:
             return False
         holds = []
-        if holds_text is not None:
-            start = m.start(6)
-            for item in holds_text.split(", "):
+        start = rest
+        if start < stop:
+            for item in text[start:stop].split(", "):
                 layout = held.get(item)
                 if layout is None:
                     layout = _held(item, atoms)
@@ -572,7 +595,7 @@ def parse_spec(text: str) -> SpecDocument:
                         return False
                     held[item] = layout
                 ctor, parts = layout
-                holds.append((ctor, start, [(ty, start + i) for ty, i in parts]))
+                holds.append((ctor, start, parts, start))
                 start += len(item) + 2
         agents[name] = agent
         raw_holds.append((site, name, holds))
@@ -615,7 +638,7 @@ def parse_spec(text: str) -> SpecDocument:
             if name in agents:
                 raise ts.error(ResolveError, f"duplicate agent {name}", name_i)
             agents[name] = _agent_id(ts, name_i)
-            holds: list[tuple[str, int, list[tuple[AtomicType, int]]]] = []
+            holds: list[tuple[str, int, list[tuple[AtomicType, int]], int]] = []
             if ts.accept("holds"):
                 while True:
                     ctor, ctor_i = _parse_ctor_name(ts)
@@ -623,7 +646,7 @@ def parse_spec(text: str) -> SpecDocument:
                     parts = [_parse_type(ts)]
                     while ts.accept("->"):
                         parts.append(_parse_type(ts))
-                    holds.append((ctor, ctor_i, parts))
+                    holds.append((ctor, ctor_i, parts, 0))
                     if not ts.accept(","):
                         break
             ts.done()
@@ -651,12 +674,10 @@ def parse_spec(text: str) -> SpecDocument:
                 head,
             )
 
-    for ts in _statements(text, _FAST_SPEC):
-        if isinstance(ts, re.Match):
-            if read_fast(ts):
-                continue
-            ts = _Stream(text, ts.start(), ts.end() - 1)
-        read(ts)
+    for start, stop in _statements(text):
+        m = _FAST_SPEC.match(text, start, stop)
+        if m is None or not read_fast(m, stop):
+            read(_stream(text, start, stop))
 
     def require_type(ts: _Site, ty: AtomicType, i: int) -> AtomicType:
         if ty not in declared_types:
@@ -669,25 +690,31 @@ def parse_spec(text: str) -> SpecDocument:
             raise ts.error(ResolveError, f"undeclared agent {ts.tokens[i]}", i)
         return agent
 
-    # Constructors: every declaration site must agree on the signature.
+    # Constructors: every declaration site must agree on the signature. An
+    # item is resolved where it first occurs; a repeat of it names the same
+    # constructor with the same signature, so only the agent's own list can
+    # still object.
+    resolved: set[int] = set()
     for ts, name, holds in raw_holds:
         agent = agents[name]
         mine = holdings.setdefault(agent, set())
-        for ctor, ctor_i, parts in holds:
-            for ty, i in parts:
-                require_type(ts, ty, i)
-            sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
-            known = ctor_sigs.get(ctor)
-            if known is not None and known[0] != sig:
-                first_line, _ = known[1].where(known[2])
-                raise ts.error(
-                    ResolveError,
-                    f"constructor {ctor} redeclared with a different signature "
-                    f"(first declared at line {first_line})",
-                    ctor_i,
-                )
-            if known is None:
-                ctor_sigs[ctor] = (sig, ts, ctor_i)
+        for ctor, ctor_i, parts, shift in holds:
+            if id(parts) not in resolved:
+                resolved.add(id(parts))
+                for ty, i in parts:
+                    require_type(ts, ty, i + shift)
+                sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
+                known = ctor_sigs.get(ctor)
+                if known is not None and known[0] != sig:
+                    first_line, _ = known[1].where(known[2])
+                    raise ts.error(
+                        ResolveError,
+                        f"constructor {ctor} redeclared with a different signature "
+                        f"(first declared at line {first_line})",
+                        ctor_i,
+                    )
+                if known is None:
+                    ctor_sigs[ctor] = (sig, ts, ctor_i)
             if ctor in mine:
                 raise ts.error(
                     ResolveError, f"agent {agent.name} lists constructor {ctor} twice", ctor_i
@@ -849,41 +876,51 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
     exist in the architecture; terms are resolved structurally and validated
     later by the trace checker."""
     events: list[Event] = []
-    # Each distinct printed-form statement's event, keyed by its sender,
-    # receiver and payload text: a repeat is the same object.
-    known: dict[tuple[str, str, str], Event] = {}
+    # Each distinct printed-form statement's event, keyed by its text from its
+    # first token, and also with the blanks before it: a repeat is the same
+    # object.
+    known: dict[str, Event] = {}
     # Each distinct `term : TYPE`, keyed by its raw text; agents resolve per event.
     payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     # Equal subterms of different payloads are one object too.
     shared: dict[TermExpr, TermExpr] = {}
     agent_named = arch.agent_named
+    text = _blank_comments(text)
 
-    def read_fast(m: re.Match[str]) -> Event | None:
+    def read_fast(start: int, stop: int) -> Event | None:
         """The event of a statement in printed form, or None when `_Stream`
-        must read it again because reading it raises."""
-        groups = m.groups()
-        event = known.get(groups)
+        must read it, because it is spelled otherwise or reading it raises."""
+        m = _FAST_EVENT.match(text, start, stop)
+        if m is None:
+            return None
+        statement = text[m.start(1) : stop]
+        event = known.get(statement)
         if event is not None:
             return event
-        sender, receiver, key = groups
+        sender, receiver = m.groups()
+        rest = m.end()
+        key = text[rest:stop]
         try:
             payload = payloads.get(key)
             if payload is None:
-                payload = _read_payload(_Stream(text, m.start(3), m.end(3)), shared)
-                payloads[key] = payload
+                payload = payloads[key] = _read_payload(_Stream(text, rest, stop), shared)
             event = Event(agent_named(sender), payload[0], payload[1], agent_named(receiver))
         except (DslError, ArchitectureError, TraceError):
             return None
-        known[groups] = event
+        known[statement] = event
         return event
 
-    for ts in _statements(text, _FAST_EVENT):
-        if isinstance(ts, re.Match):
-            event = read_fast(ts)
+    for start, stop in _statements(text):
+        raw = text[start:stop]
+        event = known.get(raw)
+        if event is None:
+            event = read_fast(start, stop)
             if event is not None:
-                events.append(event)
-                continue
-            ts = _Stream(text, ts.start(), ts.end() - 1)
+                known[raw] = event
+        if event is not None:
+            events.append(event)
+            continue
+        ts = _stream(text, start, stop)
         sender_i = ts.expect_kind(IDENT)
         ts.expect("->")
         receiver_i = ts.expect_kind(IDENT)
@@ -900,7 +937,7 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
         except TraceError as exc:
             raise ts.error(ResolveError, str(exc), sender_i) from exc
         # A later repeat of this statement in printed form is this event.
-        known.setdefault((sender.name, receiver.name, key), event)
+        known.setdefault(f"{sender.name} -> {receiver.name} : {key}", event)
         events.append(event)
     return tuple(events)
 
@@ -917,7 +954,7 @@ def print_trace(trace: Trace) -> str:
 def parse_partition(text: str, arch: Architecture) -> Partition:
     """Each statement is `cell Owner: member, member;`."""
     owner_map: dict[AgentId, AgentId] = {}
-    for ts in _statements(text):
+    for ts in _streams(text):
         ts.expect("cell")
         owner_i = ts.expect_kind(IDENT)
         ts.expect(":")
@@ -953,7 +990,7 @@ def print_partition(partition: Partition) -> str:
 def parse_grants(text: str, arch: Architecture) -> tuple[Grant, ...]:
     """Each statement is `grant I:Owner -> O:Owner : TYPE;`."""
     grants: list[Grant] = []
-    for ts in _statements(text):
+    for ts in _streams(text):
         ts.expect("grant")
         input_i = ts.expect_kind(IDENT)
         ts.expect("->")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .architecture import (
     Architecture,
@@ -132,20 +132,29 @@ class _Encoding(TypeRules):
             self.gate_sets[fkey] = self.gate_sets.get(fkey, 0) | (1 << gi)
 
         # Channel rows carry masks of the types whose sends are gated or
-        # discharge a gate, so the hot loop can skip the dict lookups.
+        # discharge a gate, so the hot loop can skip the dict lookups. Each
+        # distinct type-set object's mask is worked out once, and a channel's
+        # gate masks come from the gates that name its ends.
+        required = self._pair_masks(self.gate_required)
+        discharges = self._pair_masks(self.gate_sets)
+        masks: dict[int, int] = {}
         self.channels: list[tuple[int, int, int, int, int]] = []
         for (s, r), types in arch.sorted_channels():
             si, ri = self.agent_idx[s], self.agent_idx[r]
-            mask = req_mask = sets_mask = 0
-            for t in types:
-                bit = 1 << self.type_idx[t]
-                mask |= bit
-                ti = self.type_idx[t]
-                if (si, ti, ri) in self.gate_required:
-                    req_mask |= bit
-                if (si, ti, ri) in self.gate_sets:
-                    sets_mask |= bit
-            self.channels.append((si, ri, mask, req_mask, sets_mask))
+            mask = masks.get(id(types))
+            if mask is None:
+                mask = masks[id(types)] = sum(1 << self.type_idx[t] for t in types)
+            self.channels.append((
+                si, ri, mask, mask & required.get((si, ri), 0), mask & discharges.get((si, ri), 0)
+            ))
+
+    @staticmethod
+    def _pair_masks(keys: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+        """The types of (sender, type, receiver) keys, as a mask per pair."""
+        out: dict[tuple[int, int], int] = {}
+        for s, t, r in keys:
+            out[s, r] = out.get((s, r), 0) | 1 << t
+        return out
 
     def initial_state(self) -> int:
         state = 0

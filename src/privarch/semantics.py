@@ -30,7 +30,6 @@ from .terms import (
     infer_type,
     is_atomic,
     make_signature,
-    signature_parts,
     term_size,
     term_to_str,
     type_name,
@@ -331,7 +330,7 @@ class TypeRules:
         for a in self.agents:
             rows = []
             for name in sorted(arch.holdings_of(a)):
-                args, target = signature_parts(ts.constructor(name))
+                args, target = ts.parts(name)
                 arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
                 mask = sum(1 << idx for idx in arg_idxs)
                 rows.append((mask, self.type_idx[target], arg_idxs))
@@ -370,7 +369,7 @@ def constructor_rules(arch: Architecture) -> dict[AgentId, AgentRules]:
     rules: dict[AgentId, AgentRules] = {}
     for agent in arch.sorted_agents():
         rows: list[Rule] = [
-            (n, *signature_parts(ts.constructor(n))) for n in sorted(arch.holdings_of(agent))
+            (n, *ts.parts(n)) for n in sorted(arch.holdings_of(agent))
         ]
         uses: dict[AtomicType, list[Rule]] = {}
         for row in rows:

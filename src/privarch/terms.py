@@ -257,13 +257,19 @@ class TypeSystem:
     _by_name: Mapping[str, ConstructorDecl] = field(
         init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
     )
+    # Each constructor's signature_parts, worked out once, as validation
+    # needs them anyway.
+    _parts: Mapping[str, tuple[tuple[AtomicType, ...], AtomicType]] = field(
+        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
+    )
 
     def __post_init__(self) -> None:
         by_name: dict[str, ConstructorDecl] = {}
+        parts: dict[str, tuple[tuple[AtomicType, ...], AtomicType]] = {}
         for decl in self.constructors:
             if decl.name in by_name:
                 raise MalformedSignature(f"duplicate constructor name: {decl.name}")
-            args, target = signature_parts(decl)
+            args, target = parts[decl.name] = signature_parts(decl)
             for part in (*args, target):
                 if part not in self.atomic_types:
                     raise MalformedSignature(
@@ -271,6 +277,7 @@ class TypeSystem:
                     )
             by_name[decl.name] = decl
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_parts", parts)
 
     @staticmethod
     def build(types: Iterable[AtomicType], constructors: Iterable[ConstructorDecl]) -> "TypeSystem":
@@ -285,6 +292,14 @@ class TypeSystem:
 
     def has_constructor(self, name: str) -> bool:
         return name in self._by_name
+
+    def parts(self, name: str) -> tuple[tuple[AtomicType, ...], AtomicType]:
+        """The named constructor's (argument types, target), as
+        signature_parts gives them."""
+        parts = self._parts.get(name)
+        if parts is None:
+            raise UnknownConstructor(name)
+        return parts
 
 
 def infer_type(ts: TypeSystem, term: TermExpr) -> TypeExpr:

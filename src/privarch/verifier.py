@@ -18,7 +18,10 @@ proved type) and p5-proof-channel (the only incoming channel of the proved
 type comes from the owner).
 
 report() sorts the violations by code and subject, so the checks may visit
-agents, holdings and channels in any order.
+agents, holdings and channels in any order. p2 finds the leaking types of
+each distinct type-set object once, since a parsed or synthesized
+architecture shares one set among many channels, and then reports them on
+every cross-cell channel that carries that set.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ def canonical_partition(agents: Iterable[AgentId]) -> Partition:
     return Partition(owner)
 
 
-def unwrapper_form(decl: ConstructorDecl) -> tuple[str, str] | None:
-    """Recognize C[x](A) -> A by shape; returns (owner name, base name)."""
-    args, target = signature_parts(decl)
+def _unwrapper_shape(args: tuple[AtomicType, ...], target: AtomicType) -> tuple[str, str] | None:
+    """C[x](A) -> A, from a constructor's (argument types, target): (owner
+    name, base name), or None. The checks pass the pairs their type system
+    keeps."""
     if (
         len(args) == 1
         and isinstance(args[0], Certified)
@@ -76,9 +80,9 @@ def unwrapper_form(decl: ConstructorDecl) -> tuple[str, str] | None:
     return None
 
 
-def proof_maker_form(decl: ConstructorDecl) -> tuple[str, str] | None:
-    """Recognize A -> P[x](A) by shape; returns (owner name, base name)."""
-    args, target = signature_parts(decl)
+def _proof_maker_shape(args: tuple[AtomicType, ...], target: AtomicType) -> tuple[str, str] | None:
+    """A -> P[x](A), from a constructor's (argument types, target): (owner
+    name, base name), or None."""
     if (
         len(args) == 1
         and isinstance(args[0], Base)
@@ -87,6 +91,16 @@ def proof_maker_form(decl: ConstructorDecl) -> tuple[str, str] | None:
     ):
         return target.holder, args[0].name
     return None
+
+
+def unwrapper_form(decl: ConstructorDecl) -> tuple[str, str] | None:
+    """Recognize C[x](A) -> A by shape; returns (owner name, base name)."""
+    return _unwrapper_shape(*signature_parts(decl))
+
+
+def proof_maker_form(decl: ConstructorDecl) -> tuple[str, str] | None:
+    """Recognize A -> P[x](A) by shape; returns (owner name, base name)."""
+    return _proof_maker_shape(*signature_parts(decl))
 
 
 def _require_declared(arch: Architecture) -> None:
@@ -135,30 +149,38 @@ def _boundary_violations(
     arch: Architecture, partition: Partition, allowed: tuple[type, ...]
 ) -> list[Violation]:
     violations = []
+    # The leaking types of each distinct type-set object, found once: a
+    # parsed or synthesized architecture shares one set among many channels.
+    leaks: dict[int, list] = {}
     for (s, r), types in arch.channels.items():
         cell = partition.cell_of(s)
         if cell is not None and cell == partition.cell_of(r):
             continue
-        for t in types:
+        leaking = leaks.get(id(types))
+        if leaking is None:
             # Unknown forms are rejected conservatively: anything that is not
             # an expected wrapper may leak across the boundary.
-            if not (is_atomic(t) and isinstance(t, allowed)):
-                violations.append(
-                    Violation(
-                        "p2-boundary",
-                        (s.name, r.name, type_name(t)),
-                        f"cross-cell channel {s.name} -> {r.name} carries {type_name(t)}",
-                    )
+            leaking = leaks[id(types)] = [
+                t for t in types if not (is_atomic(t) and isinstance(t, allowed))
+            ]
+        for t in leaking:
+            violations.append(
+                Violation(
+                    "p2-boundary",
+                    (s.name, r.name, type_name(t)),
+                    f"cross-cell channel {s.name} -> {r.name} carries {type_name(t)}",
                 )
+            )
     return violations
 
 
 def _unwrap_cell_violations(arch: Architecture, partition: Partition) -> list[Violation]:
     violations = []
+    parts = arch.type_system.parts
     for a in arch.agents:
         cell = partition.cell_of(a)
         for name in arch.holdings_of(a):
-            form = unwrapper_form(arch.type_system.constructor(name))
+            form = _unwrapper_shape(*parts(name))
             if form is None:
                 continue
             owner_name, _ = form
@@ -183,15 +205,16 @@ def verify_partition_v1(
     violations += _boundary_violations(arch, partition, (Certified,))
     violations += _unwrap_cell_violations(arch, partition)
     # Constraints that share a subject and a trigger share one check.
+    parts = arch.type_system.parts
     for subject, trigger in dict.fromkeys((c.subject, c.trigger) for c in negatives):
         for a in arch.agents:
             if partition.cell_of(a) != subject:
                 continue
             for name in arch.holdings_of(a):
-                decl = arch.type_system.constructor(name)
-                if signature_parts(decl)[1] != trigger:
+                args, target = parts(name)
+                if target != trigger:
                     continue
-                form = unwrapper_form(decl)
+                form = _unwrapper_shape(args, target)
                 if form != (subject.name, type_name(trigger)):
                     violations.append(
                         Violation(
@@ -219,16 +242,18 @@ def verify_partition_v2(
     violations += _unwrap_cell_violations(arch, partition)
     # p4 per holder; p5 then reads each channel once against the proof-makers
     # its receiver holds.
-    makers: dict[AgentId, list[tuple[str, str, str]]] = {}
+    parts = arch.type_system.parts
+    makers: dict[AgentId, list[tuple[str, str, str, Base]]] = {}
     for a in arch.agents:
-        held = {name: arch.type_system.constructor(name) for name in arch.holdings_of(a)}
-        targets = {signature_parts(decl)[1] for decl in held.values()}
-        for name, decl in held.items():
-            form = proof_maker_form(decl)
+        held = {name: parts(name) for name in arch.holdings_of(a)}
+        targets = {target for _, target in held.values()}
+        for name, (args, target) in held.items():
+            form = _proof_maker_shape(args, target)
             if form is None:
                 continue
-            makers.setdefault(a, []).append((name, *form))
-            if Base(form[1]) in targets:
+            proved = Base(form[1])
+            makers.setdefault(a, []).append((name, *form, proved))
+            if proved in targets:
                 violations.append(
                     Violation(
                         "p4-proof-compute",
@@ -237,8 +262,8 @@ def verify_partition_v2(
                     )
                 )
     for (s, r), types in arch.channels.items():
-        for name, owner_name, base_name in makers.get(r, ()):
-            if s.name != owner_name and Base(base_name) in types:
+        for name, owner_name, base_name, proved in makers.get(r, ()):
+            if s.name != owner_name and proved in types:
                 violations.append(
                     Violation(
                         "p5-proof-channel",

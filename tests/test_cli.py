@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from privarch import canonical_partition, dot_counts, export_dot, parse_spec, semantics
+from privarch import canonical_partition, cli, dot_counts, export_dot, parse_spec, semantics
 from privarch.cli import build_parser, main
 
 from conftest import FIXTURES, read_fixture
@@ -478,6 +478,7 @@ def test_dot_file_spanning_several_writes_is_export_dot(capsys, tmp_path):
     assert run(capsys, "synthesize", str(ring), "-o", str(spec))[0] == 0
     assert_dot_file_is_export_dot(capsys, tmp_path, spec)
     assert (tmp_path / "streamed.dot").read_text().count("\n") > 2 * 1024
+    assert len((tmp_path / "streamed.dot").read_text()) > 2 * cli._DOT_BATCH
 
 
 def assert_dot_file_is_export_dot(capsys, tmp_path, spec: Path) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from privarch import Architecture, Base, Proof, dot_counts, export_dot
+from privarch import Architecture, Base, Proof, dot_counts, export_dot, type_name, type_sort_key
 from privarch.verifier import canonical_partition
 
 
@@ -94,3 +94,18 @@ def test_api_architecture_with_undeclared_type(coppa_doc):
         '  "Website" -> "Parent" [label="POLICY"];\n'
         "}\n"
     )
+
+
+def test_edges_follow_the_canonical_channel_and_type_order(
+    coppa_doc, coppa_safe_doc, coppa_relaxed_doc, safe_v1, safe_v2
+):
+    # One edge line per channel type, channels by sender then receiver and
+    # each channel's types in canonical order, whatever the lines are made in.
+    for arch in (coppa_doc.architecture, coppa_safe_doc.architecture,
+                 coppa_relaxed_doc.architecture, safe_v1.arch, safe_v2.arch):
+        edges = [line for line in export_dot(arch).splitlines() if " -> " in line]
+        assert edges == [
+            f'  "{s.name}" -> "{r.name}" [label="{type_name(t)}"];'
+            for (s, r), types in arch.sorted_channels()
+            for t in sorted(types, key=type_sort_key)
+        ]

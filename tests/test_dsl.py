@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
@@ -330,6 +329,21 @@ def test_algorithm_option_range_checked():
         (ResolveError, "types A;\nagent X holds a: A;\nchannel X -> X : A;", 3, 9, "channel from X to itself"),
         (ResolveError, "types A, B;\ntypes C, A;", 2, 10, "duplicate type A"),
         (ResolveError, "types A;\nagent X holds a: A;\nagent X holds a: A;", 3, 7, "duplicate agent X"),
+        # Comments, and characters that are no blank. A `;` inside a comment
+        # ends no statement; only space, tab, CR and LF are blanks.
+        (ResolveError, "types A;\nagent X # holds; b: B;\nholds a: B;", 3, 10, "undeclared type B"),
+        (ResolveError, "types A; # x; y\nagent X holds a: A;\nagent Y holds b: A -> B;", 3, 23,
+         "undeclared type B"),
+        (ParseError, "types A;\n# note;\n  ;", 3, 3, "empty statement"),
+        (ParseError, "types A;\nagent X holds a: A; # one\n   # two;\n;", 4, 1, "empty statement"),
+        (ParseError, "types A;\nagent X holds a: A # no end;\n# trailing", 2, 18,
+         "statement is missing its terminating ';'"),
+        (ParseError, "types A;\nagent X holds a: A;\nchannel X -> X : A # end", 3, 18,
+         "statement is missing its terminating ';'"),
+        (ParseError, "types A;\x0cagent X;", 1, 9, "unexpected character '\\x0c'"),
+        (ParseError, "types A;\nagent X holds a:\x0cA;", 2, 17, "unexpected character '\\x0c'"),
+        (ParseError, "\ufefftypes A;", 1, 1, "unexpected character '\\ufeff'"),
+        (ParseError, "\ufeff# comment\ntypes A;", 1, 1, "unexpected character '\\ufeff'"),
     ],
 )
 def test_spec_error_positions(kind, text, line, col, message):
@@ -685,6 +699,43 @@ def test_grant_unknown_agent_rejected(coppa_doc):
             "Child -> O:Child : info : INFO;\nChild -> O:Child : info : INFO :;",
             2, 32, "unexpected trailing ':'",
         ),
+        # Comments, and characters that are no blank, in each kind of document.
+        (
+            parse_trace, ResolveError,
+            "Child -> O:Child : info : INFO; # a;b\nGhost -> O:Child : info : INFO;",
+            2, 1, "Ghost",
+        ),
+        (parse_trace, ParseError, "Child -> O:Child : info : INFO;\n# one;\n ;", 3, 2, "empty statement"),
+        (
+            parse_trace, ParseError,
+            "Child -> O:Child : info : INFO;\nChild -> O:Child : info : INFO # end",
+            2, 27, "statement is missing its terminating ';'",
+        ),
+        (
+            parse_trace, ParseError, "Child -> O:Child : info : INFO;\x0c",
+            1, 32, "unexpected character '\\x0c'",
+        ),
+        (
+            parse_trace, ParseError, "\ufeffChild -> O:Child : info : INFO;",
+            1, 1, "unexpected character '\\ufeff'",
+        ),
+        (parse_partition, ParseError, "cell Child: Child; # x;\n  ;", 2, 3, "empty statement"),
+        (
+            parse_partition, ParseError, "cell Child: Child # x;\ncell Parent: Parent;",
+            2, 1, "unexpected trailing 'cell'",
+        ),
+        (
+            parse_grants, ParseError, "grant I:Parent -> O:Parent : POLICY # end;\n# more",
+            1, 30, "statement is missing its terminating ';'",
+        ),
+        (
+            parse_grants, ParseError, "\ufeffgrant I:Parent -> O:Parent : POLICY;",
+            1, 1, "unexpected character '\\ufeff'",
+        ),
+        (
+            parse_grants, ParseError, "grant I:Parent -> O:Parent :\x0cPOLICY;",
+            1, 29, "unexpected character '\\x0c'",
+        ),
     ],
 )
 def test_document_error_positions(coppa_relaxed_doc, parse, kind, text, line, col, message):
@@ -708,8 +759,10 @@ def respaced(text, every=1):
 
 
 def pattern_reads(text, pattern):
-    """For each statement of `text`, whether `pattern` reads it."""
-    return [isinstance(st, re.Match) for st in dsl._statements(text, pattern)]
+    """For each statement of `text`, whether `pattern` takes it as printed
+    form."""
+    text = dsl._blank_comments(text)
+    return [pattern.match(text, start, stop) is not None for start, stop in dsl._statements(text)]
 
 
 def agreement_specs():
@@ -862,3 +915,86 @@ def test_unknown_event_agent_is_blamed_where_it_stands(witness_events, coppa_rel
         with pytest.raises(ResolveError) as info:
             parse_trace(text[:at] + "Nobody" + text[at + len(name.text) :], coppa_relaxed_doc.architecture)
         assert str(info.value) == f"line {name.line}, col {name.col}: Nobody"
+
+
+# ---------------------------------------------------------------------------
+# the splitter with and without comments to blank
+
+
+def commented(text):
+    """`text` with ` # ;x` after every line. No token moves, and every line
+    now ends in a comment that holds a `;`."""
+    return "\n".join(line + " # ;x" for line in text.split("\n"))
+
+
+MUTATIONS = [*"aZ_9;:,->=[]() \t\r\n#", "\x0c", "﻿", "é", "²", "I:", " -> ", " : ", ", "]
+
+
+def mutant(rng, text):
+    """`text` after one to three edits: a character replaced or inserted, a
+    `;`, `#` or newline inserted, or a run of up to 12 characters deleted."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.3:
+            text = text[:i] + rng.choice(MUTATIONS) + text[i + 1:]
+        elif op < 0.55:
+            text = text[:i] + rng.choice(";#\n") + text[i:]
+        elif op < 0.8:
+            text = text[:i] + text[i + rng.randint(1, 12):]
+        else:
+            text = text[:i] + rng.choice(MUTATIONS) + text[i:]
+    return text
+
+
+def outcome(read, text):
+    try:
+        return ("result", read(text))
+    except dsl.DslError as exc:
+        return ("error", type(exc), str(exc), exc.line, exc.col)
+
+
+def differential_documents(rng):
+    """(reader, printed text) for documents of all four kinds: the fixtures,
+    generated documents, their v1/v2 syntheses, valid traces over both, and
+    the syntheses' canonical partitions."""
+    relaxed = parse_spec(read_fixture("coppa_safe_relaxed.parch")).architecture
+    coppa = parse_spec(read_fixture("coppa.parch"))
+    safe = build_safe_architecture_v2(coppa.architecture, coppa.constraints, coppa.options).arch
+    docs = [(parse_spec, read_fixture(name)) for name in (
+        "coppa.parch", "coppa_v1.parch", "coppa_safe.parch", "coppa_safe_relaxed.parch",
+        "coppa_v1_safe.parch",
+    )]
+    docs += [
+        (lambda t: parse_trace(t, relaxed), read_fixture("coppa_witness.trace")),
+        (lambda t: parse_grants(t, safe), read_fixture("coppa.grants")),
+        (lambda t: parse_partition(t, safe), print_partition(canonical_partition(safe.agents))),
+    ]
+    for _ in range(8):
+        doc = mk_document(rng)
+        build = build_safe_architecture_v1 if doc.options.algorithm == 1 else build_safe_architecture_v2
+        out = build(doc.architecture, doc.constraints, doc.options).arch
+        docs += [
+            (parse_spec, print_spec(doc)),
+            (parse_spec, print_spec(SpecDocument.build(out, doc.constraints, doc.options))),
+            (lambda t, a=doc.architecture: parse_trace(t, a),
+             print_trace(tuple(mk_valid_trace(rng, doc.architecture, 8)))),
+            (lambda t, a=out: parse_trace(t, a), print_trace(tuple(mk_valid_trace(rng, out, 8)))),
+            (lambda t, a=out: parse_partition(t, a), print_partition(canonical_partition(out.agents))),
+        ]
+    return docs
+
+
+def test_mutants_read_the_same_with_a_comment_after_every_line():
+    # Each mutant, and its twin with a comment after every line, give the
+    # same result or the same error (type, message, line, column): the twin
+    # takes the splitter's comment-blanking branch, the mutant (unless an
+    # edit wrote a `#`) the plain one.
+    rng = random.Random(0x5B1)
+    kinds = {"result": 0, "error": 0}
+    for read, text in differential_documents(rng):
+        for variant in [text] + [mutant(rng, text) for _ in range(40)]:
+            got = outcome(read, variant)
+            assert outcome(read, commented(variant)) == got, variant
+            kinds[got[0]] += 1
+    assert kinds["result"] >= 200 and kinds["error"] >= 1000

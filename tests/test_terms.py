@@ -113,6 +113,24 @@ def test_signature_parts_on_atomic():
     assert signature_parts(ConstructorDecl("c", INFO)) == ((), INFO)
 
 
+def test_type_system_keeps_each_constructors_parts():
+    decls = [
+        ConstructorDecl("c", make_signature([INFO, CONSENT], POLICY)),
+        ConstructorDecl("d", INFO),
+    ]
+    ts = TypeSystem.build([INFO, CONSENT, POLICY], decls)
+    for decl in decls:
+        assert ts.parts(decl.name) == signature_parts(decl)
+    with pytest.raises(UnknownConstructor):
+        ts.parts("missing")
+    # The kept parts take no part in equality, hashing or repr.
+    again = TypeSystem.build([INFO, CONSENT, POLICY], reversed(decls))
+    assert again == ts and hash(again) == hash(ts) and repr(again) == repr(ts)
+    assert repr(ts) == (
+        f"TypeSystem(atomic_types={ts.atomic_types!r}, constructors={ts.constructors!r})"
+    )
+
+
 def test_nested_arrow_argument_is_malformed():
     decl = ConstructorDecl("c", Arrow(Arrow(INFO, CONSENT), POLICY))
     with pytest.raises(MalformedSignature):

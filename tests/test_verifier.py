@@ -200,6 +200,42 @@ def test_proof_type_crossing_cells_allowed_in_v2_only(safe_v2, safe_v1, coppa_v1
     assert any(v.code == "p2-boundary" for v in rep.violations)
 
 
+def test_equal_type_sets_that_are_distinct_objects_each_report(coppa_doc):
+    # An architecture built through the API: three cross-cell channels with
+    # equal type sets, each its own object. Each channel gets its line.
+    arch = coppa_doc.architecture
+    ring = [(CHILD, PARENT), (PARENT, WEBSITE), (WEBSITE, CHILD)]
+    api = Architecture(
+        arch.type_system,
+        arch.agents,
+        dict(arch.holdings),
+        {pair: frozenset([INFO, Certified("Parent", "INFO")]) for pair in ring},
+    )
+    assert len({id(types) for types in api.channels.values()}) == 3
+    assert len(set(api.channels.values())) == 1
+    rep = verify_partition_v2(api, canonical_partition(api.agents))
+    assert [line for line in rep.lines() if "p2-boundary" in line] == sorted(
+        f"[p2-boundary] cross-cell channel {s.name} -> {r.name} carries INFO" for s, r in ring
+    )
+
+
+def test_leaking_type_on_a_shared_mesh_set_reports_every_channel(safe_v2):
+    # The synthesized mesh shares one type-set object among its channels; a
+    # base type added to that one set leaks on every cross-cell channel.
+    arch = safe_v2.arch
+    mesh = [pair for pair, types in arch.channels.items() if Base("CONSENT") not in types]
+    leaky = arch.channels[mesh[0]] | {INFO}
+    mutated = rebuilt(arch, channels={**arch.channels, **dict.fromkeys(mesh, leaky)})
+    assert len({id(mutated.channels[pair]) for pair in mesh}) == 1
+    part = safe_v2.canonical_partition
+    crossing = [(s, r) for s, r in mesh if part.cell_of(s) != part.cell_of(r)]
+    assert len(crossing) > 20
+    rep = verify_partition_v2(mutated, part)
+    assert sorted(v.subject for v in rep.violations if v.code == "p2-boundary") == sorted(
+        (s.name, r.name, "INFO") for s, r in crossing
+    )
+
+
 # ---------------------------------------------------------------------------
 # p3: unwrappers stay in their owner's cell
 
