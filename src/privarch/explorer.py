@@ -7,15 +7,18 @@ them). Breadth-first search with deduplication on the possessed map finds
 minimal counterexamples to negative constraints. Witnesses for positive goals
 are built by a saturation pass (everything every agent could ever possess,
 with the wave at which it first appears) followed by demand-driven extraction
-of just the sends the goal needs; the result is validated end to end against
-the concrete trace semantics.
+of just the sends the goal needs. Saturation does the search's mask
+arithmetic: each wave sends what every agent held before it, visits a type
+only when it is new to the receiver or discharges a gate, and closes a
+receiver with the rows `TypeRules.fired` returns.
 
 Local-send gates are tracked per state as discharged-obligation bits; term
 identity is approximated by type identity during search and checked on the
 reconstructed concrete trace, which drops the candidate if a gate fails.
-One gate table, built once per search, serves every abstract pass: for each
-gated send, the bits it needs and the forward sends that set them; for each
-forward send, the bits it sets. `check_local` stays the concrete reference.
+One gate table, built once per search, serves the search, saturation and
+witness extraction: for each gated send, the gate bits it needs; for each
+forward send, the bits it sets; for each gate, its forward send. Every
+reported trace is judged by one `check_trace_compliance` walk.
 """
 
 from __future__ import annotations
@@ -36,25 +39,26 @@ from .constraints import (
     NegCreate,
     NegPossess,
     Positive,
+    TraceComplianceReport,
+    check_trace_compliance,
+)
+from .semantics import (
+    Event,
+    Trace,
+    TypeRules,
+    constructor_rules,
+    receive,
+    seed_witnesses,
+)
+
+# Bound here for benchmarks/spans.py, whose tracer wraps them in this module.
+from .constraints import (  # noqa: F401
     check_local,
     check_neg_create,
     check_neg_possess,
     check_positive,
 )
-from .semantics import (
-    Event,
-    InvalidTraceError,
-    KnowledgeState,
-    Trace,
-    TypeRules,
-    constructor_rules,
-    possession_closure,
-    receive,
-    seed_witnesses,
-)
-
-# Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
-from .semantics import check_trace_valid  # noqa: F401
+from .semantics import check_trace_valid, possession_closure  # noqa: F401
 from .terms import AtomicType, type_name
 
 DEFAULT_DEPTH = 12
@@ -115,21 +119,20 @@ class _Encoding(TypeRules):
         self.gate_shift = len(self.agents) * self.width
 
         # The gate table, keyed by (sender idx, type idx, receiver idx):
-        # required - gates that must already be discharged for this send;
-        # forwards - the forward sends (sender, type, previous receiver) that
-        #   discharge them, in gate order;
-        # sets - gates this send discharges (it is their forward send).
+        # required - gate bits that must already be discharged for this send;
+        # sets - gate bits this send discharges (it is their forward send).
+        # `forward_sends[gi]` is gate gi's forward send, as such a key.
         self.gate_required: dict[tuple[int, int, int], int] = {}
-        self.gate_forwards: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
         self.gate_sets: dict[tuple[int, int, int], int] = {}
+        self.forward_sends: list[tuple[int, int, int]] = []
         for gi, g in enumerate(gates):
             s = self.agent_idx[g.gate_sender]
             t = self.type_idx[g.gate_type]
             key = (s, t, self.agent_idx[g.gate_receiver])
             fkey = (s, t, self.agent_idx[g.must_prev_receiver])
             self.gate_required[key] = self.gate_required.get(key, 0) | (1 << gi)
-            self.gate_forwards.setdefault(key, []).append(fkey)
             self.gate_sets[fkey] = self.gate_sets.get(fkey, 0) | (1 << gi)
+            self.forward_sends.append(fkey)
 
         # Channel rows carry masks of the types whose sends are gated or
         # discharge a gate, so the hot loop can skip the dict lookups. Each
@@ -192,21 +195,24 @@ def reconstruct_trace(
 
 
 def _concrete_check(
-    arch: Architecture, gates: Sequence[LocalSend], abstract: Sequence[AbstractEvent]
-) -> tuple[Trace, list[KnowledgeState]] | None:
-    """Rebuild the concrete trace of an abstract path and its possession
-    states. None when the trace breaks a local-send gate (the bit-level
-    discharge is term-blind); an invalid trace is a bug and raises."""
+    arch: Architecture,
+    gates: Sequence[LocalSend],
+    abstract: Sequence[AbstractEvent],
+    target: Constraint,
+) -> tuple[Trace, TraceComplianceReport] | None:
+    """Rebuild the concrete trace of an abstract path and judge it against
+    `target` and the gates in one compliance walk. None when the trace
+    breaks a local-send gate (the bit-level discharge is term-blind); an
+    invalid trace is a bug and raises."""
     trace = reconstruct_trace(arch, abstract)
-    try:
-        states = possession_closure(arch, trace)
-    except InvalidTraceError as exc:
+    rep = check_trace_compliance(arch, trace, [target, *gates])
+    if not rep.validity.valid:
         raise ReconstructionFailure(
-            f"reconstructed trace invalid at index {exc.verdict.index}: {exc.verdict.reason}"
-        ) from None
-    if not all(check_local(trace, g).compliant for g in gates):
+            f"reconstructed trace invalid at index {rep.validity.index}: {rep.validity.reason}"
+        )
+    if not rep.local_gates.compliant:
         return None
-    return trace, states
+    return trace, rep
 
 
 # --- saturation + demand-driven witness extraction --------------------------
@@ -228,51 +234,45 @@ def _saturate(enc: _Encoding) -> _Saturation:
     derivation: dict[tuple[int, int], tuple] = {}
     forward_round: dict[tuple[int, int, int], int] = {}
 
-    def close(agent: int, wave: int) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for _, t, arg_idxs in enc.ctors[agent]:
-                if (agent, t) in atom_round:
-                    continue
-                if all((agent, idx) in atom_round for idx in arg_idxs):
-                    atom_round[(agent, t)] = wave
-                    derivation[(agent, t)] = ("ctor", arg_idxs)
-                    changed = True
+    def gain(agent: int, mask: int, wave: int) -> int:
+        for t, arg_idxs in enc.fired(agent, mask):
+            atom_round[(agent, t)] = wave
+            derivation[(agent, t)] = ("ctor", arg_idxs)
+            mask |= 1 << t
+        return mask
 
-    for i in range(len(enc.agents)):
-        close(i, 0)
-
+    fields = [gain(i, 0, 0) for i in range(len(enc.agents))]
+    discharged = 0  # gate bits whose forward send has happened
     wave = 0
-    while True:
+    progressed = True
+    while progressed:
         wave += 1
         progressed = False
+        # A sender sends what it held before this wave, under the gates
+        # discharged before it.
+        held, gates_before = fields[:], discharged
         # Channels are visited in canonical order, so derivation tie-breaks
-        # are deterministic and prefer original-agent senders.
-        for s, r, mask, _, _ in enc.channels:
-            m = mask
+        # are deterministic and prefer original-agent senders. Only types new
+        # to the receiver or discharging a gate can change anything.
+        for s, r, chan_mask, req_mask, sets_mask in enc.channels:
+            m = held[s] & chan_mask & (~fields[r] | sets_mask)
             while m:
                 bit = m & -m
                 m ^= bit
                 t = bit.bit_length() - 1
-                sr = atom_round.get((s, t))
-                if sr is None or sr >= wave:
-                    continue  # sender must possess strictly before this wave
-                if any(
-                    forward_round.get(fkey, wave) >= wave
-                    for fkey in enc.gate_forwards.get((s, t, r), ())
-                ):
-                    continue  # a gate's forward send has not happened yet
-                if (s, t, r) in enc.gate_sets and (s, t, r) not in forward_round:
+                if bit & req_mask:
+                    req = enc.gate_required[(s, t, r)]
+                    if gates_before & req != req:
+                        continue  # a gate's forward send has not happened yet
+                if bit & sets_mask and (s, t, r) not in forward_round:
                     forward_round[(s, t, r)] = wave
+                    discharged |= enc.gate_sets[(s, t, r)]
                     progressed = True
-                if (r, t) not in atom_round:
+                if not fields[r] & bit:
                     atom_round[(r, t)] = wave
                     derivation[(r, t)] = ("recv", s, wave)
-                    close(r, wave)
+                    fields[r] = gain(r, fields[r] | bit, wave)
                     progressed = True
-        if not progressed:
-            break
     return _Saturation(atom_round, derivation, forward_round)
 
 
@@ -281,36 +281,38 @@ def _demand_witness(
 ) -> list[AbstractEvent] | None:
     """Extract the send set the goal atom depends on and order it causally.
     Returns None when saturation never produced the goal, i.e. no witness
-    exists at any depth."""
+    exists at any depth. The proof is followed with explicit stacks, so a
+    long relay chain needs no deep recursion."""
     if (goal_agent, goal_type) not in sat.atom_round:
         return None
     events: dict[tuple[int, int, int], int] = {}
     seen_atoms: set[tuple[int, int]] = set()
-    seen_events: set[tuple[int, int, int]] = set()
-
-    def demand_event(s: int, t: int, r: int, wave: int) -> None:
-        key = (s, t, r)
-        if key in seen_events:
-            return
-        seen_events.add(key)
-        events[key] = wave
-        demand_atom(s, t)
-        for fkey in enc.gate_forwards.get(key, ()):
-            demand_event(*fkey, sat.forward_round[fkey])
-
-    def demand_atom(agent: int, t: int) -> None:
-        if (agent, t) in seen_atoms:
-            return
-        seen_atoms.add((agent, t))
-        deriv = sat.derivation[(agent, t)]
+    atoms = [(goal_agent, goal_type)]
+    sends: list[tuple[tuple[int, int, int], int]] = []
+    while atoms or sends:
+        if sends:
+            key, wave = sends.pop()
+            if key in events:
+                continue
+            events[key] = wave
+            atoms.append(key[:2])
+            req = enc.gate_required.get(key, 0)
+            while req:  # each gate's forward send comes first
+                bit = req & -req
+                req ^= bit
+                fkey = enc.forward_sends[bit.bit_length() - 1]
+                sends.append((fkey, sat.forward_round[fkey]))
+            continue
+        atom = atoms.pop()
+        if atom in seen_atoms:
+            continue
+        seen_atoms.add(atom)
+        deriv = sat.derivation[atom]
         if deriv[0] == "ctor":
-            for arg in deriv[1]:
-                demand_atom(agent, arg)
+            atoms.extend((atom[0], arg) for arg in deriv[1])
         else:
             _, sender, wave = deriv
-            demand_event(sender, t, agent, wave)
-
-    demand_atom(goal_agent, goal_type)
+            sends.append(((sender, atom[1], atom[0]), wave))
     ordered = sorted(
         events.items(),
         key=lambda kv: (
@@ -426,17 +428,12 @@ def explore(
     def try_record(state: int, ci: int) -> None:
         """Record the counterexample if its concrete trace keeps every gate;
         otherwise the candidate is dropped and the search goes on."""
-        checked = _concrete_check(arch, gates, path_to(state))
+        c = negatives[ci]
+        checked = _concrete_check(arch, gates, path_to(state), c)
         if checked is None:
             return
-        trace, states = checked
-        c = negatives[ci]
-        verdict = (
-            check_neg_create(states, c)
-            if isinstance(c, NegCreate)
-            else check_neg_possess(states, c)
-        )
-        if verdict.compliant:
+        trace, rep = checked
+        if rep.negatives.compliant:
             raise ReconstructionFailure("abstract violation vanished on the concrete trace")
         found[ci] = (c, trace)
 
@@ -544,11 +541,11 @@ def explore(
             if abstract is None or len(abstract) > depth:
                 missing.append(goal)
                 continue
-            checked = _concrete_check(arch, gates, abstract)
+            checked = _concrete_check(arch, gates, abstract, goal)
             if checked is None:
                 raise ReconstructionFailure("witness trace breaks a local-send gate")
-            trace, states = checked
-            if not check_positive(states, goal):
+            trace, rep = checked
+            if not rep.positives[goal]:
                 raise ReconstructionFailure("witness trace does not establish its goal")
             witnesses.append((goal, trace))
 

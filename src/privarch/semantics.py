@@ -16,8 +16,8 @@ only `possession_closure` and the explorer's trace reconstruction run.
 from __future__ import annotations
 
 import functools
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .terms import (
@@ -63,13 +63,12 @@ class NotDerivable(TraceError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """One send: `sender` passes `term`, at atomic type `msg_type`, to
-    `receiver`. Immutable and slotted, with the equality, hash, `repr` and
-    pickling a frozen dataclass would give it."""
-
-    __slots__ = ("sender", "term", "msg_type", "receiver")
-    __match_args__ = ("sender", "term", "msg_type", "receiver")
+    `receiver`. The constructor refuses a self-send and a non-atomic type;
+    `__reduce__` keeps pickling independent of the slots support of the
+    Python version's dataclasses."""
 
     sender: AgentId
     term: TermExpr
@@ -89,31 +88,8 @@ class Event:
         init(self, "msg_type", msg_type)
         init(self, "receiver", receiver)
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.sender, self.term, self.msg_type, self.receiver)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __reduce__(self) -> tuple:
-        return (Event, self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(sender={self.sender!r}, term={self.term!r}, "
-            f"msg_type={self.msg_type!r}, receiver={self.receiver!r})"
-        )
+        return (Event, (self.sender, self.term, self.msg_type, self.receiver))
 
     def __str__(self) -> str:
         return (
@@ -315,9 +291,11 @@ class TypeRules:
     Agents are in canonical order (originals before interfaces) and atomic
     types are bit positions in `type_sort_key` order. `ctors[agent]` holds
     the agent's constructors in name order as rows (argument mask, target
-    index, argument indices ascending). `closure` closes a possession mask
-    under one agent's rows, memoized per agent and mask. `walk_trace` folds
-    a trace with it, and the explorer's search encoding extends it."""
+    index, argument indices ascending). `fired` lists the rows that close a
+    possession mask under one agent's constructors, in the order one sweep
+    after another fires them; `closure` is the union of their targets,
+    memoized per agent and mask. `walk_trace` folds a trace with it, and the
+    explorer's search encoding and saturation extend it."""
 
     def __init__(self, arch: Architecture) -> None:
         ts = arch.type_system
@@ -337,23 +315,27 @@ class TypeRules:
             self.ctors.append(rows)
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
 
-    def closure(self, agent: int, mask: int) -> int:
-        memo = self._closure_memo[agent]
-        out = memo.get(mask)
-        if out is not None:
-            return out
-        closed = mask
+    def fired(self, agent: int, mask: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The rows that close `mask`, as (target index, argument indices):
+        each sweep fires, in row order, every row whose target is new and
+        whose arguments are held, until a sweep fires none."""
+        out = []
         changed = True
         while changed:
             changed = False
-            for args_mask, target, _ in self.ctors[agent]:
-                if (closed >> target) & 1:
-                    continue
-                if (closed & args_mask) == args_mask:
-                    closed |= 1 << target
+            for args_mask, target, arg_idxs in self.ctors[agent]:
+                if not (mask >> target) & 1 and (mask & args_mask) == args_mask:
+                    mask |= 1 << target
+                    out.append((target, arg_idxs))
                     changed = True
-        memo[mask] = closed
-        return closed
+        return out
+
+    def closure(self, agent: int, mask: int) -> int:
+        memo = self._closure_memo[agent]
+        out = memo.get(mask)
+        if out is None:
+            out = memo[mask] = mask | sum(1 << t for t, _ in self.fired(agent, mask))
+        return out
 
 
 Rule = tuple[str, tuple[AtomicType, ...], AtomicType]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,23 @@ def test_safe_relaxed_example_depth_twelve(coppa_relaxed_doc, witness_events):
     assert sorted(map(str, trace)) == sorted(map(str, witness_events))
 
 
+def test_witness_along_a_relay_chain_longer_than_the_recursion_limit():
+    # The witness is one relay per link; following its proof must not take a
+    # Python frame per link.
+    links = sys.getrecursionlimit() + 100
+    t = Base("T")
+    ts = TypeSystem.build([t], [ConstructorDecl("t", t)])
+    agents = [AgentId(f"A{i}") for i in range(links + 1)]
+    channels = {(agents[i], agents[i + 1]): {t} for i in range(links)}
+    arch = Architecture.build(ts, agents, {agents[0]: {"t"}}, channels)
+    goal = Positive(agents[-1], t)
+    outcome = explore(arch, [goal], depth=links)
+    (found, trace), = outcome.witnesses
+    assert found == goal
+    assert len(trace) == links
+    assert [(e.sender, e.receiver) for e in trace] == list(zip(agents, agents[1:]))
+
+
 def test_uncomputable_pairs_follow_agent_order():
     # Generators feed this list to rng.choice, so its order must not follow
     # frozenset iteration, which changes from process to process.
@@ -360,3 +378,57 @@ def golden_outcomes() -> dict[str, list[str]]:
 
 def test_explore_outcomes_match_the_golden_record():
     assert golden_outcomes() == json.loads(GOLDEN.read_text())
+
+
+WITNESS_GOLDEN = Path(__file__).with_name("witness_golden.json")
+
+
+def _every_goal(arch: Architecture) -> list[Positive]:
+    types = sorted(arch.type_system.atomic_types, key=str)
+    return [Positive(a, t) for a in arch.sorted_agents() for t in types]
+
+
+def witness_outcomes() -> dict[str, list[str]]:
+    """`explore` with a positive goal for every agent and type and no depth
+    cut, so every derivation tie-break the saturation makes is pinned: on
+    the fixtures (the relaxed one with its gates) and on seeded generator
+    instances, each as generated, v2-synthesized and grant-relaxed with its
+    gates. `witness_golden.json` holds the recorded result."""
+    out = {}
+    for name in (
+        "coppa.parch", "coppa_safe.parch", "coppa_safe_relaxed.parch",
+        "coppa_v1.parch", "coppa_v1_safe.parch",
+    ):
+        doc = parse_spec(read_fixture(name))
+        gates = [c for c in doc.constraints if isinstance(c, LocalSend)]
+        arch = doc.architecture
+        outcome = explore(arch, _every_goal(arch), depth=10_000, local_constraints=gates)
+        out[name] = _outcome_lines(outcome)
+    rng = random.Random(14)
+    case = 0
+    while case < 20:
+        arch = mk_architecture(rng)
+        negatives = mk_negpossess_set(rng, arch)
+        if negatives is None:
+            continue
+        out[f"{case} original"] = _outcome_lines(explore(arch, _every_goal(arch), depth=10_000))
+        safe = build_safe_architecture_v2(arch, negatives)
+        outcome = explore(safe.arch, _every_goal(safe.arch), depth=10_000)
+        out[f"{case} synthesized"] = _outcome_lines(outcome)
+        grants = [
+            Grant(AgentId.interface_of(a), t, AgentId.output_of(a))
+            for a in arch.sorted_agents()
+            for t in sorted(arch.type_system.atomic_types, key=str)
+            if rng.random() < 0.5
+        ]
+        relaxed, gates = relax_with_local_constraints(safe, grants)
+        outcome = explore(
+            relaxed.arch, _every_goal(relaxed.arch), depth=10_000, local_constraints=gates
+        )
+        out[f"{case} relaxed"] = _outcome_lines(outcome)
+        case += 1
+    return out
+
+
+def test_every_witness_matches_the_golden_record():
+    assert witness_outcomes() == json.loads(WITNESS_GOLDEN.read_text())

@@ -171,7 +171,8 @@ def test_event_str_form(coppa):
     assert str(e) == "Child -> Website : info : INFO"
 
 
-# `Event` is a slotted class that keeps what the frozen dataclass gave.
+# `Event` is a frozen, slotted dataclass whose own constructor checks the
+# ends and the type, and whose `__reduce__` pickles it.
 
 
 def test_event_refuses_a_self_send():
