@@ -70,7 +70,6 @@ from .semantics import (
     Trace,
     TraceCheck,
     TraceError,
-    as_trace,
     check_trace_valid,
     derives,
     generation_decompose,

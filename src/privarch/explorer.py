@@ -46,7 +46,6 @@ from .semantics import (
     Event,
     Trace,
     TypeRules,
-    constructor_rules,
     receive,
     seed_witnesses,
 )
@@ -180,7 +179,7 @@ def reconstruct_trace(
     """Turn an abstract send sequence into a concrete trace using canonical
     witness terms (the knowledge-closure rule: witnesses are assigned once,
     smallest first, never replaced)."""
-    rules = constructor_rules(arch)
+    rules = TypeRules(arch)
     owned = seed_witnesses(rules)
     events: list[Event] = []
     for sender, msg_type, receiver in abstract_events:
@@ -234,8 +233,8 @@ def _saturate(enc: _Encoding) -> _Saturation:
     derivation: dict[tuple[int, int], tuple] = {}
     forward_round: dict[tuple[int, int, int], int] = {}
 
-    def gain(agent: int, mask: int, wave: int) -> int:
-        for t, arg_idxs in enc.fired(agent, mask):
+    def gain(agent: int, mask: int, wave: int, new: int | None = None) -> int:
+        for t, arg_idxs in enc.fired(agent, mask, new):
             atom_round[(agent, t)] = wave
             derivation[(agent, t)] = ("ctor", arg_idxs)
             mask |= 1 << t
@@ -271,7 +270,7 @@ def _saturate(enc: _Encoding) -> _Saturation:
                 if not fields[r] & bit:
                     atom_round[(r, t)] = wave
                     derivation[(r, t)] = ("recv", s, wave)
-                    fields[r] = gain(r, fields[r] | bit, wave)
+                    fields[r] = gain(r, fields[r] | bit, wave, t)
                     progressed = True
     return _Saturation(atom_round, derivation, forward_round)
 
@@ -479,7 +478,7 @@ def explore(
                     key = fr | bit
                     closed = memo_r.get(key)
                     if closed is None:
-                        closed = closure(r, key)
+                        closed = closure(r, key, bit.bit_length() - 1)
                     succ = state ^ ((fr ^ closed) << r_shift)
                     if bit & sets_mask:
                         succ |= gate_sets[(s, bit.bit_length() - 1, r)] << gate_shift

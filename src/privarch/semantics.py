@@ -10,12 +10,14 @@ into possession, recording when each agent first possesses each type; the
 state at every prefix is read from those tables. The walk folds types as bit
 masks and skips an event object it has already walked. Witness terms, one
 canonical term per possessed (agent, type), come from a separate fold that
-only `possession_closure` and the explorer's trace reconstruction run.
+only `possession_closure` and the explorer's trace reconstruction run. Both
+folds, and the explorer, read one table of constructor rows, `TypeRules`.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,7 +31,6 @@ from .terms import (
     apply,
     infer_type,
     is_atomic,
-    make_signature,
     term_size,
     term_to_str,
     type_name,
@@ -99,10 +100,6 @@ class Event:
 
 
 Trace = tuple[Event, ...]
-
-
-def as_trace(events: Iterable[Event]) -> Trace:
-    return tuple(events)
 
 
 @dataclass(frozen=True)
@@ -285,134 +282,137 @@ class KnowledgeState:
         return f"KnowledgeState(possessed={self.possessed!r}, witnesses={self.witnesses!r})"
 
 
+Row = tuple[int, int, tuple[int, ...], str]  # one constructor row of TypeRules
+
+
 class TypeRules:
-    """The type level of an architecture's constructors, as bit masks.
+    """The one table of an architecture's constructor rules, as bit masks.
 
     Agents are in canonical order (originals before interfaces) and atomic
     types are bit positions in `type_sort_key` order. `ctors[agent]` holds
     the agent's constructors in name order as rows (argument mask, target
-    index, argument indices ascending). `fired` lists the rows that close a
-    possession mask under one agent's constructors, in the order one sweep
-    after another fires them; `closure` is the union of their targets,
-    memoized per agent and mask. `walk_trace` folds a trace with it, and the
-    explorer's search encoding and saturation extend it."""
+    index, argument indices ascending, name), and `uses[agent]` maps each
+    type index to the rows that take it, in row order. `fired` lists the
+    rows that close a possession mask under one agent's constructors, in the
+    order one sweep after another fires them; `closure` is the union of
+    their targets, memoized per agent and mask. `walk_trace` folds a trace
+    with it, the witness fold builds terms from its rows, and the explorer's
+    search encoding and saturation extend it."""
 
     def __init__(self, arch: Architecture) -> None:
-        ts = arch.type_system
+        ts = self.type_system = arch.type_system
         self.agents: list[AgentId] = arch.sorted_agents()
         self.agent_idx = {a: i for i, a in enumerate(self.agents)}
         self.types: list[AtomicType] = sorted(ts.atomic_types, key=type_sort_key)
         self.type_idx = {t: i for i, t in enumerate(self.types)}
         self.width = len(self.types)
-        self.ctors: list[list[tuple[int, int, tuple[int, ...]]]] = []
+        self.ctors: list[list[Row]] = []
+        self.uses: list[dict[int, list[int]]] = []
+        made: dict[str, Row] = {}  # agents that hold a constructor share its row
         for a in self.agents:
-            rows = []
+            rows: list[Row] = []
+            uses: dict[int, list[int]] = {}
             for name in sorted(arch.holdings_of(a)):
-                args, target = ts.parts(name)
-                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
-                mask = sum(1 << idx for idx in arg_idxs)
-                rows.append((mask, self.type_idx[target], arg_idxs))
+                row = made.get(name)
+                if row is None:
+                    args, target = ts.parts(name)
+                    arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
+                    mask = sum(1 << idx for idx in arg_idxs)
+                    row = made[name] = (mask, self.type_idx[target], arg_idxs, name)
+                for t in row[2]:
+                    uses.setdefault(t, []).append(len(rows))
+                rows.append(row)
             self.ctors.append(rows)
+            self.uses.append(uses)
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
 
-    def fired(self, agent: int, mask: int) -> list[tuple[int, tuple[int, ...]]]:
+    def fired(
+        self, agent: int, mask: int, new: int | None = None
+    ) -> list[tuple[int, tuple[int, ...]]]:
         """The rows that close `mask`, as (target index, argument indices):
         each sweep fires, in row order, every row whose target is new and
-        whose arguments are held, until a sweep fires none."""
+        whose arguments are held, until a sweep fires none.
+
+        Rows wait in a queue keyed by (sweep, row). A firing at row j queues
+        the rows that take its target, in the same sweep if they come after
+        j and in the next otherwise, so the rows fire in the sweeps' order.
+        The first sweep visits every row, or, when `mask` without the type
+        index `new` is closed, only the rows that take `new`."""
+        rows, uses = self.ctors[agent], self.uses[agent]
+        n = len(rows)
+        queue = list(range(n) if new is None else uses.get(new, ()))
         out = []
-        changed = True
-        while changed:
-            changed = False
-            for args_mask, target, arg_idxs in self.ctors[agent]:
-                if not (mask >> target) & 1 and (mask & args_mask) == args_mask:
-                    mask |= 1 << target
-                    out.append((target, arg_idxs))
-                    changed = True
+        while queue:
+            key = heapq.heappop(queue)
+            i = key % n
+            args_mask, target, arg_idxs, _ = rows[i]
+            if (mask >> target) & 1 or (mask & args_mask) != args_mask:
+                continue
+            mask |= 1 << target
+            out.append((target, arg_idxs))
+            for j in uses.get(target, ()):
+                heapq.heappush(queue, key - i + j if j > i else key - i + n + j)
         return out
 
-    def closure(self, agent: int, mask: int) -> int:
+    def closure(self, agent: int, mask: int, new: int | None = None) -> int:
         memo = self._closure_memo[agent]
         out = memo.get(mask)
         if out is None:
-            out = memo[mask] = mask | sum(1 << t for t, _ in self.fired(agent, mask))
+            out = memo[mask] = mask | sum(1 << t for t, _ in self.fired(agent, mask, new))
         return out
 
 
-Rule = tuple[str, tuple[AtomicType, ...], AtomicType]
-# One agent's rules: every row, and the rows that take each type as an argument.
-AgentRules = tuple[list[Rule], dict[AtomicType, list[Rule]]]
-
-
-def constructor_rules(arch: Architecture) -> dict[AgentId, AgentRules]:
-    """Each agent's held constructors as (name, argument types, target)
-    rows, sorted by name, for every agent in sorted order. The witness fold
-    builds them once and passes them to every step."""
-    ts = arch.type_system
-    rules: dict[AgentId, AgentRules] = {}
-    for agent in arch.sorted_agents():
-        rows: list[Rule] = [
-            (n, *ts.parts(n)) for n in sorted(arch.holdings_of(agent))
-        ]
-        uses: dict[AtomicType, list[Rule]] = {}
-        for row in rows:
-            for a in dict.fromkeys(row[1]):
-                uses.setdefault(a, []).append(row)
-        rules[agent] = (rows, uses)
-    return rules
-
-
 def _close_agent(
-    uses: Mapping[AtomicType, list[Rule]],
-    owned: dict[AtomicType, TermExpr],
-    candidates: Iterable[Rule],
+    rules: TypeRules, agent: int, owned: dict[AtomicType, TermExpr], candidates: Iterable[int]
 ) -> None:
     """Saturate one agent's type-level possession in place: whenever every
     argument type of a held constructor is possessed, the target is too.
     Smallest new witness first (by size, then printed form) keeps the choice
     canonical; a candidate is built and printed only to break a size tie.
 
-    `candidates` must hold every row that may have become applicable since
-    the agent was last closed; after that, only the rows that take a newly
-    possessed type can become applicable."""
+    `candidates` are row indices into `rules.ctors[agent]` and must hold
+    every row that may have become applicable since the agent was last
+    closed; after that, only the rows that take a newly possessed type can
+    become applicable."""
+    rows, types, uses = rules.ctors[agent], rules.types, rules.uses[agent]
+    parts = rules.type_system.parts
 
-    def applicable(rows: Iterable[Rule]) -> list[tuple[int, Rule]]:
-        return [
-            (1 + sum(term_size(owned[a]) for a in row[1]), row)
-            for row in rows
-            if row[2] not in owned and all(a in owned for a in row[1])
-        ]
+    def applicable(idxs: Iterable[int]) -> list[tuple[int, str, tuple[AtomicType, ...], int]]:
+        ready = []
+        for i in idxs:
+            _, target, _, name = rows[i]
+            args = parts(name)[0]
+            if types[target] not in owned and all(a in owned for a in args):
+                ready.append((1 + sum(term_size(owned[a]) for a in args), name, args, target))
+        return ready
 
     ready = applicable(candidates)
     while ready:
-        smallest = min(size for size, _ in ready)
+        smallest = min(row[0] for row in ready)
         ties = [
             (apply(name, [owned[a] for a in args]), target)
-            for size, (name, args, target) in ready
+            for size, name, args, target in ready
             if size == smallest
         ]
         term, target = ties[0] if len(ties) == 1 else min(ties, key=lambda c: term_to_str(c[0]))
-        owned[target] = term
-        ready = [(size, row) for size, row in ready if row[2] != target]
+        owned[types[target]] = term
+        ready = [row for row in ready if row[3] != target]
         ready += applicable(uses.get(target, ()))
 
 
-def seed_witnesses(
-    rules: Mapping[AgentId, AgentRules]
-) -> dict[AgentId, dict[AtomicType, TermExpr]]:
+def seed_witnesses(rules: TypeRules) -> dict[AgentId, dict[AtomicType, TermExpr]]:
     """Each agent's canonical witness per type before any event: what its
     held constructors alone can build."""
     owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
-    for agent, (rows, uses) in rules.items():
+    for ai, agent in enumerate(rules.agents):
         mine: dict[AtomicType, TermExpr] = {}
-        _close_agent(uses, mine, rows)
+        _close_agent(rules, ai, mine, range(len(rules.ctors[ai])))
         owned[agent] = mine
     return owned
 
 
 def receive(
-    rules: Mapping[AgentId, AgentRules],
-    owned: dict[AgentId, dict[AtomicType, TermExpr]],
-    e: Event,
+    rules: TypeRules, owned: dict[AgentId, dict[AtomicType, TermExpr]], e: Event
 ) -> bool:
     """Fold one delivery into `owned`: a receiver with no witness at the
     event's type takes the delivered term and is re-closed. An existing
@@ -421,8 +421,8 @@ def receive(
     if e.msg_type in mine:
         return False
     mine[e.msg_type] = e.term
-    uses = rules[e.receiver][1]
-    _close_agent(uses, mine, uses.get(e.msg_type, ()))
+    ai = rules.agent_idx[e.receiver]
+    _close_agent(rules, ai, mine, rules.uses[ai].get(rules.type_idx[e.msg_type], ()))
     return True
 
 
@@ -436,12 +436,14 @@ class TraceWalk:
     possesses the type (0 for what its held constructors build), and
     `first_any[type]` the first prefix at which some agent does. Possession
     only grows, so these tables give the type-level state at every prefix.
-    The walk builds no witness term; `possession_closure` folds those."""
+    The walk builds no witness term; `possession_closure` folds those with
+    `rules`, the table the walk folded with."""
 
     verdict: TraceCheck
     delivered: dict[AgentId, dict[TermExpr, int]]
     first: dict[AgentId, dict[AtomicType, int]]
     first_any: dict[AtomicType, int]
+    rules: TypeRules
 
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
@@ -462,8 +464,8 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
     delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
     types: dict[TermExpr, TypeExpr] = {}
     rules = TypeRules(arch)
-    agent_idx, type_list, closure = rules.agent_idx, rules.types, rules.closure
-    bit_of = {t: 1 << i for i, t in enumerate(type_list)}
+    agent_idx, type_idx, closure = rules.agent_idx, rules.type_idx, rules.closure
+    type_list = rules.types
     held: dict[AgentId, int] = {}
     first: dict[AgentId, dict[AtomicType, int]] = {}
     first_any: dict[AtomicType, int] = {}
@@ -498,11 +500,11 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
         receiver = e.receiver
         delivered[receiver].setdefault(e.term, i)
         had = held[receiver]
-        bit = bit_of[e.msg_type]
-        if not had & bit:
-            now = held[receiver] = closure(agent_idx[receiver], had | bit)
+        t = type_idx[e.msg_type]
+        if not (had >> t) & 1:
+            now = held[receiver] = closure(agent_idx[receiver], had | 1 << t, t)
             gain(receiver, now & ~had, i + 1)
-    return TraceWalk(verdict, delivered, first, first_any)
+    return TraceWalk(verdict, delivered, first, first_any, rules)
 
 
 def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
@@ -537,10 +539,9 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
     # the fold runs once, when the first state reads one.
     @functools.cache
     def owned() -> dict[AgentId, dict[AtomicType, TermExpr]]:
-        rules = constructor_rules(arch)
-        mine = seed_witnesses(rules)
+        mine = seed_witnesses(walk.rules)
         for e in trace:
-            receive(rules, mine, e)
+            receive(walk.rules, mine, e)
         return mine
 
     return [KnowledgeState(walk.first, owned, i) for i in range(len(trace) + 1)]

@@ -175,10 +175,31 @@ TermExpr = Con | App
 
 
 def term_to_str(t: TermExpr) -> str:
-    head, args = uncurry(t)
-    if not args:
-        return head
-    return f"{head}({', '.join(term_to_str(a) for a in args)})"
+    """Printed form `head(arg, ...)`. A stack holds what is still to print,
+    the text pieces and the arguments a term's spine yields last first, so
+    nesting costs no Python frame."""
+    if isinstance(t, Con):
+        return t.name
+    if not isinstance(t, App):
+        raise TypeError(f"term head is not a constructor: {t!r}")
+    out: list[str] = []
+    stack: list[TermExpr | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Con):
+            out.append(item.name)
+        else:
+            stack.append(")")
+            while isinstance(item, App):
+                stack += (item.arg, ", ")
+                item = item.fun
+            if not isinstance(item, Con):
+                raise TypeError(f"term head is not a constructor: {item!r}")
+            stack[-1] = "("
+            out.append(item.name)
+    return "".join(out)
 
 
 def term_size(t: TermExpr) -> int:

@@ -12,7 +12,9 @@ backwards from the prefix, the direct reading of the derivation rules. It
 costs O(L) per lookup and recurses once per delivery, so it serves only as
 the reference the package's delivery-index semantics is compared against.
 The closure reference stores every prefix's state in full; the package
-reads each prefix from the tables of one walk.
+reads each prefix from the tables of one walk. The rule-firing reference
+sweeps every constructor row until nothing fires; the package queues only
+the rows that take a newly held type.
 
 The tokenizer reference walks the text one character at a time and tracks
 line and column as it goes; the package tokenizes with one regular
@@ -49,7 +51,7 @@ from privarch import (
     term_to_str,
     uncurry,
 )
-from privarch.semantics import constructor_rules, receive, seed_witnesses
+from privarch.semantics import TypeRules, receive, seed_witnesses
 from privarch.terms import is_atomic
 
 DEFAULT_MAX_SIZE = 6
@@ -107,6 +109,23 @@ def oracle_possession(
             per_agent[agent] = oracle_types(arch, agent, received, max_size)
         states.append(per_agent)
     return states
+
+
+def reference_fired(rules: TypeRules, agent: int, mask: int) -> list[tuple[int, tuple[int, ...]]]:
+    """`TypeRules.fired` as a plain sweep: each sweep fires, in row order,
+    every row whose target is new and whose arguments are held, until a
+    sweep fires none. Every call re-scans all of the agent's rows; the
+    package queues only the rows a firing can enable."""
+    out = []
+    changed = True
+    while changed:
+        changed = False
+        for args_mask, target, arg_idxs, _ in rules.ctors[agent]:
+            if not (mask >> target) & 1 and (mask & args_mask) == args_mask:
+                mask |= 1 << target
+                out.append((target, arg_idxs))
+                changed = True
+    return out
 
 
 def global_term_of_type(
@@ -274,7 +293,7 @@ def reference_possession_closure(
     (`seed_witnesses`, `receive`) but not its trace walk, and validates with
     the backward-scan reference."""
     _require_valid(arch, events)
-    rules = constructor_rules(arch)
+    rules = TypeRules(arch)
     owned = seed_witnesses(rules)
     possessed = {a: frozenset(m) for a, m in owned.items() if m}
     witnesses = {(a, t): w for a, m in owned.items() for t, w in m.items()}

@@ -582,6 +582,35 @@ def test_deeply_nested_term_is_a_clean_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_explore_prints_a_witness_nested_400_deep(capsys, tmp_path):
+    """Y applies f1 to f400 in turn to the T0 it receives, so the witness
+    sends Z a term nested 400 deep. Printing it takes no frame per level,
+    and `check` accepts the printed trace."""
+    spec = tmp_path / "chain.parch"
+    ctors = ", ".join(f"f{i}: T{i - 1} -> T{i}" for i in range(1, 401))
+    spec.write_text(
+        f"types {', '.join(f'T{i}' for i in range(401))};\n"
+        f"agent X holds t0: T0;\nagent Y holds {ctors};\nagent Z;\n"
+        "channel X -> Y : T0;\nchannel Y -> Z : T400;\nconstraint pos(Z, T400);\n"
+    )
+    code, out, err = run(capsys, "explore", str(spec), "--depth", "5")
+    term = "t0"
+    for i in range(1, 401):
+        term = f"f{i}({term})"
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "states visited: 1 (depth 5, budget 1000000, exhausted: no)",
+        "witness (2 events) for pos(Z, T400):",
+        "  X -> Y : t0 : T0;",
+        f"  Y -> Z : {term} : T400;",
+        "no counterexamples found",
+    ]
+    trace = tmp_path / "chain.trace"
+    trace.write_text("".join(line[2:] + "\n" for line in out.splitlines()[2:4]))
+    code, out, err = run(capsys, "check", str(spec), str(trace))
+    assert (code, out, err) == (0, "valid trace (2 events)\ngoal pos(Z, T400): met\ncompliant\n", "")
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 

@@ -27,17 +27,28 @@ from privarch import (
     NotDerivable,
     TypeSystem,
     apply,
+    build_safe_architecture_v2,
     check_trace_valid,
     derives,
     generation_decompose,
     infer_type,
+    parse_spec,
     parse_trace,
     possession_closure,
     print_trace,
     term_size,
 )
 
-from generators import bounded_instance, corrupt_event, mk_architecture, mk_valid_trace
+from privarch.semantics import TypeRules
+
+from conftest import read_fixture
+from generators import (
+    bounded_instance,
+    corrupt_event,
+    mk_architecture,
+    mk_negpossess_set,
+    mk_valid_trace,
+)
 from oracles import (
     arrow_possession_is_initial,
     global_term_of_type,
@@ -45,6 +56,7 @@ from oracles import (
     reference_check_trace_valid,
     reference_decompose,
     reference_derives,
+    reference_fired,
     weakening_holds,
 )
 
@@ -550,3 +562,47 @@ def test_long_relay_trace():
     # event before it is on the chain.
     assert d.computer == s
     assert d.delivery_chain == tuple(range(hops))
+
+
+# ---------------------------------------------------------------------------
+# rule firing
+
+
+def _rule_tables() -> list[TypeRules]:
+    """The fixtures, and seeded generator instances with their v2
+    syntheses. The dense instances give one agent several rows that take the
+    same type, so the order of firings within a sweep shows."""
+    archs = [
+        parse_spec(read_fixture(name)).architecture
+        for name in (
+            "coppa.parch", "coppa_safe.parch", "coppa_safe_relaxed.parch",
+            "coppa_v1.parch", "coppa_v1_safe.parch",
+        )
+    ]
+    rng = random.Random(15)
+    for size in [()] * 120 + [(2, 4, 12)] * 120:
+        arch = mk_architecture(rng, *size)
+        archs.append(arch)
+        negatives = mk_negpossess_set(rng, arch)
+        if negatives is not None:
+            archs.append(build_safe_architecture_v2(arch, negatives).arch)
+    return [TypeRules(arch) for arch in archs]
+
+
+def test_fired_matches_the_reference_sweep():
+    """`fired` fires the rows in the sweep's order: from mask 0, and from a
+    closed mask plus each type it lacks, both given that type and scanning
+    every row. The closed masks follow one seeded chain of gains per agent."""
+    rng = random.Random(15)
+    for k, rules in enumerate(_rule_tables()):
+        for agent in range(len(rules.agents)):
+            where = (k, rules.agents[agent].name)
+            assert rules.fired(agent, 0) == reference_fired(rules, agent, 0), where
+            mask = rules.closure(agent, 0)
+            while addable := [t for t in range(rules.width) if not (mask >> t) & 1]:
+                for t in addable:
+                    expected = reference_fired(rules, agent, mask | 1 << t)
+                    assert rules.fired(agent, mask | 1 << t, t) == expected, (*where, mask, t)
+                    assert rules.fired(agent, mask | 1 << t) == expected, (*where, mask, t)
+                t = rng.choice(addable)
+                mask = rules.closure(agent, mask | 1 << t, t)
