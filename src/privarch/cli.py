@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -371,7 +372,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output early, as `head` does. As the
+        # Python docs' note on SIGPIPE advises, what is still buffered goes
+        # to devnull, so the flush at exit fails no more. 141 is 128 +
+        # SIGPIPE, the shell's status for a process that SIGPIPE ended.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .architecture import Architecture, AgentId
-from .semantics import Event, KnowledgeState, TraceCheck, walk_trace
+from .semantics import Event, KnowledgeState, TraceCheck, TraceWalk, walk_trace
 
 # Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
 from .semantics import possession_closure  # noqa: F401
@@ -193,7 +193,13 @@ def check_trace_compliance(
     violating prefix that `check_neg_create` and `check_neg_possess` find
     by scanning `possession_closure`.
     """
-    walk = walk_trace(arch, events)
+    return _judge(walk_trace(arch, events), events, constraints)
+
+
+def _judge(
+    walk: TraceWalk, events: Sequence[Event], constraints: Sequence[Constraint]
+) -> TraceComplianceReport:
+    """`check_trace_compliance` on the trace's walk."""
     if not walk.verdict.valid:
         return TraceComplianceReport(walk.verdict, _ok(), _ok(), {})
     first, never = walk.first, len(events) + 1

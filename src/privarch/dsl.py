@@ -16,47 +16,31 @@ Constraint forms mirror their printed shapes: `X ni A => B` (no creation),
 `X ni A => Y ni B` (no possession), `pos(X, A)` (reachability goal) and
 `local I -> O : T prev X` (gated send).
 
-A spec is parsed in two passes. Its statements are split off and shaped
-first, one after another in document order (ParseError, and ResolveError for
-a duplicate declaration); names are then resolved against the declarations
-(ResolveError). Constraint statements are scanned in the first pass but
-shaped in the second, as their names resolve. Traces, partitions and grant
-lists resolve each statement's names once it is shaped. Both errors carry
-one-based line and column. Before resolution, an error blames the first
-statement that cannot be read: a stray character, a shape error, an empty
-statement or a duplicate there comes before anything later in the document,
-a missing final `;` included.
+Two readers share the work; which one reads a document depends only on its
+spelling once each `#` comment is blanked to as many spaces (so offsets,
+lines and columns stay put). The printed-form reader takes a spec or trace
+whole when every statement is spelled as `print_spec` and `print_trace`
+write it (single spaces, ASCII names) and names only what an earlier
+statement declared. It splits the text at every `;` in one call, reads each
+distinct statement once and resolves names on the spot, so events hold the
+architecture's own agents and types and a repeated statement is one event.
+It never raises, so it keeps no positions: on any surprise (another
+spelling, a name declared after its use or not at all, a duplicate, a
+failed check) it gives up, and the token reader reads the document from its
+first statement, so every error and its line and column come from there.
+Constraints and options, which the pattern heads (`_FAST_SPEC`,
+`_FAST_EVENT`) do not cover, are shaped by the token reader's grammar in
+both.
 
-One splitter serves all four kinds of document. When the text has a `#`,
-each comment is first replaced by as many spaces, so offsets, lines and
-columns stay where they were; the statements are then split off at each
-`;`, one at a time with `str.find`, each when the one before it has been
-read.
-
-Two readers share the work, and which one reads a statement depends only on
-its spelling with comments blanked. A `types`, `agent` or `channel`
-statement or a trace event in the printed form (`print_spec`,
-`print_trace`: single spaces, ASCII names) is told by one pattern match on
-its head, which stops where its list or payload starts. The list is taken
-whole: its compact types (`NAME`, `C[X](A)`, `P[X](A)`) are split off at
-their `, ` and ` -> ` separators. What a printed-form statement keeps for
-later errors are character offsets. This reader never raises: a statement
-whose list is spelled otherwise, which names a duplicate or whose reading
-would fail is read again from its first token by the token reader, so every
-error of the first pass comes from the token reader. Every other statement
-(constraints, options, partitions, grants, and anything with other spacing)
-goes to the token reader directly.
-
-The token reader scans a statement's leading tokens one at a time, with
-their offsets; the rest is scanned in one `tokenize` batch only when the
-parser is about to read it, and offsets inside a batch are found again only
-on the error path. In both readers, a channel type list, or a trace event's
-`term : TYPE`, is keyed by its raw text, from its first token to the end of
-the statement, and so is each `ctor: sig` item the printed-form reader
-takes: a repeat is neither scanned nor parsed again, and a repeated list or
-item is resolved once, where it first occurs. A repeated printed-form trace
-event is the same object. Each call keeps its own tables, which fill only
-after a successful parse, so every error keeps its position.
+The token reader splits statements off one at a time, so an error blames
+the first statement that cannot be read. A spec takes two passes: shapes in
+document order (ParseError, and ResolveError for a duplicate declaration),
+then names against the declarations (ResolveError), constraints included.
+Traces, partitions and grant lists resolve a statement's names once it is
+shaped. Leading tokens are scanned one at a time with their offsets, the
+rest in one `tokenize` batch whose offsets are found again only to raise. A
+channel type list or an event's `term : TYPE` is keyed by its raw text, so
+a repeat is read once. Both errors carry one-based line and column.
 
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
@@ -64,10 +48,12 @@ structurally equal to doc.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator
+from operator import methodcaller
+from typing import Container, Iterable, Iterator, Mapping
 
 from .architecture import (
     Architecture,
@@ -142,9 +128,10 @@ _COMMENT = re.compile(r"#[^\n]*")
 # `print_spec`, `print_trace` and the benchmark generator write each statement
 # in one shape, with single spaces and ASCII names. Each pattern below takes
 # the head of a statement in that shape, from its leading blanks to the first
-# character of its list or payload, and so never walks the list; a statement
-# it rejects is read by `_Stream`. Every quantified piece is followed by a
-# character it cannot take, so a failed match backtracks only linearly.
+# character of its list or payload, and so never walks the list; a document
+# with a statement it rejects is read by `_Stream`. Every quantified piece is
+# followed by a character it cannot take, so a failed match backtracks only
+# linearly.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _AGENT = rf"(?:[IO]:)?{_NAME}"
 _LIST = r"(?=[^ \t\r\n])"  # a list that starts with no blank
@@ -156,6 +143,8 @@ _FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_LIST}")
 # One compact atomic type (`NAME`, `C[X](A)`, `P[X](A)`) or constructor name.
 _ATOM = re.compile(rf"([CP])\[({_AGENT})\]\(({_AGENT})\)|{_AGENT}")
 _CTOR = re.compile(rf"{_AGENT}(?:\[{_AGENT}(?:,{_AGENT})*\])*")
+# A printed term's tokens: each constructor name whole, and `(`, `)`, `,`.
+_TERM_TOKEN = re.compile(rf"{_CTOR.pattern}|[(),]")
 
 
 def _bad_offset(tok: str) -> int:
@@ -303,27 +292,7 @@ class _Stream:
             raise self.error(ParseError, f"unexpected trailing {tok!r}", self.pos)
 
 
-class _Offsets:
-    """Where the pattern readers found what they kept: token `i` here is the
-    one at character offset `i`. It stands in for a `_Stream` when an error
-    is found after its statement was read."""
-
-    __slots__ = ("text", "tokens")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: dict[int, str] = {}  # agent names, by offset
-
-    def where(self, i: int) -> tuple[int, int]:
-        return _line_col(self.text, i)
-
-    def error(self, cls: type[DslError], message: str, i: int) -> DslError:
-        return cls(message, *self.where(i))
-
-
-# Where a kept token stands: its statement's stream, or the offsets of the
-# statements a pattern read.
-_Site = _Stream | _Offsets
+_lstrip_blanks = methodcaller("lstrip", " \t\r\n")
 
 
 def _blank_comments(text: str) -> str:
@@ -410,40 +379,6 @@ def _parse_type(ts: _Stream) -> tuple[AtomicType, int]:
     return Base(name), head
 
 
-def _atoms(
-    text: str, sep: str, start: int, atoms: dict[str, AtomicType]
-) -> list[tuple[AtomicType, int]] | None:
-    """The compact atomic types of `text`, split at each `sep`, with their
-    offsets from `start`; None when a piece is not one. `atoms` keeps each
-    piece's type, for one call of a parser."""
-    out = []
-    for piece in text.split(sep):
-        ty = atoms.get(piece)
-        if ty is None:
-            m = _ATOM.fullmatch(piece)
-            if m is None:
-                return None
-            kind, owner, inner = m.groups()
-            if kind is None:
-                ty = Base(piece)
-            else:
-                ty = (Certified if kind == "C" else Proof)(owner, inner)
-            atoms[piece] = ty
-        out.append((ty, start))
-        start += len(piece) + len(sep)
-    return out
-
-
-def _held(item: str, atoms: dict[str, AtomicType]) -> tuple[str, list[tuple[AtomicType, int]]] | None:
-    """A compact `ctor: sig` item: the constructor and its signature's types
-    with their offsets from the item's start; None when it is not one."""
-    ctor, colon, sig = item.partition(": ")
-    if not colon or _CTOR.fullmatch(ctor) is None:
-        return None
-    parts = _atoms(sig, " -> ", len(ctor) + 2, atoms)
-    return None if parts is None else (ctor, parts)
-
-
 def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
     tokens = ts.tokens
     head = ts.expect_kind(IDENT)
@@ -457,26 +392,83 @@ def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
     return name, head
 
 
-def _parse_term(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> TermExpr:
-    """Each node is looked up in `shared`, so equal subterms parsed with one
-    table are one object."""
-    name, _ = _parse_ctor_name(ts)
-    term: TermExpr = Con(name)
-    term = shared.setdefault(term, term)
-    if ts.accept("("):
-        while True:
-            node = App(term, _parse_term(ts, shared))
-            term = shared.setdefault(node, node)
-            if not ts.accept(","):
+# A table of the terms one reader has built: each constructor by its name and
+# each application by the ids of its two parts, which the table keeps alive.
+_Shared = dict[object, TermExpr]
+
+
+class _Expected(Exception):
+    """Token `args[1]` of a term is not the `args[0]` its grammar expects."""
+
+
+def _parse_term(tokens: list[str], i: int, shared: _Shared) -> tuple[TermExpr, int]:
+    """Read one term from `tokens[i]` on, and return it with the index after
+    it. A stack of the applications whose argument list is open stands in
+    for recursion. A constructor name may come as one token or as the tokens
+    of its pieces. Each node is looked up in `shared` before it is built, so
+    equal subterms parsed with one table are one object."""
+    n = len(tokens)
+    open_apps: list[TermExpr] = []  # innermost last
+    while True:
+        if i == n or _kind(tokens[i]) != IDENT:
+            raise _Expected(IDENT, i)
+        name = tokens[i]
+        i += 1
+        while i < n and tokens[i] == "[":
+            parts = []
+            while True:
+                i += 1
+                if i == n or _kind(tokens[i]) != IDENT:
+                    raise _Expected(IDENT, i)
+                parts.append(tokens[i])
+                i += 1
+                if i == n or tokens[i] != ",":
+                    break
+            if i == n or tokens[i] != "]":
+                raise _Expected("']'", i)
+            i += 1
+            name += "[" + ",".join(parts) + "]"
+        term = shared.get(name)
+        if term is None:
+            term = shared[name] = Con(name)
+        if i < n and tokens[i] == "(":
+            open_apps.append(term)
+            i += 1
+            continue
+        # A finished term is the next argument of the innermost open list.
+        while open_apps:
+            fun = open_apps.pop()
+            key = (id(fun), id(term))
+            node = shared.get(key)
+            if node is None:
+                node = shared[key] = App(fun, term)
+            term = node
+            if i < n and tokens[i] == ",":
+                open_apps.append(term)
+                i += 1
                 break
-        ts.expect(")")
+            if i == n or tokens[i] != ")":
+                raise _Expected("')'", i)
+            i += 1
+        else:
+            return term, i
+
+
+def _read_term(ts: _Stream, shared: _Shared) -> TermExpr:
+    """One term of a statement, from its next token on."""
+    ts.rest()
+    try:
+        term, ts.pos = _parse_term(ts.tokens, ts.pos, shared)
+    except _Expected as exc:
+        expected, ts.pos = exc.args
+        raise ts._fail(f"expected {expected}") from None
     return term
 
 
 def parse_term(text: str) -> TermExpr:
     """Parse one prefix-notation term, e.g. `pi[X,A](m[X,A](payload))`."""
     ts = _Stream(text)
-    term = _parse_term(ts, {})
+    term = _read_term(ts, {})
     ts.done()
     return term
 
@@ -526,82 +518,121 @@ class SpecDocument:
 
 
 def parse_spec(text: str) -> SpecDocument:
+    text = _blank_comments(text)
+    return _read_printed_spec(text) or _read_spec(text)
+
+
+def _document(
+    types: Iterable[AtomicType], sigs: dict[str, TypeExpr], agents: Iterable[AgentId],
+    holdings: dict[AgentId, set[str]], channels: dict[tuple[AgentId, AgentId], frozenset],
+    constraints: list[Constraint], config: SynthesisConfig,
+) -> SpecDocument:
+    """The document a reader read, once its architecture validates."""
+    type_system = TypeSystem.build(types, (ConstructorDecl(n, t) for n, t in sigs.items()))
+    arch = Architecture.build(type_system, agents, holdings, channels)
+    report = validate_architecture(arch)
+    if not report.passed:
+        raise ResolveError(f"invalid architecture: {report.lines()[0]}", 1, 1)
+    return SpecDocument.build(arch, constraints, config)
+
+
+def _read_printed_spec(text: str) -> SpecDocument | None:
+    """A spec document in printed form, read whole, or None when the token
+    reader must read it. Each channel type list and each `ctor: sig` item is
+    resolved once per distinct text."""
+    statements = text.split(";")
+    if statements.pop().strip(" \t\r\n"):
+        return None
+    types: dict[str, AtomicType] = {}  # by printed name
+    agents: dict[str, AgentId] = {}
+    holdings: dict[AgentId, set[str]] = {}
+    sigs: dict[str, TypeExpr] = {}
+    items: dict[str, str] = {}  # each `ctor: sig` item's constructor
+    lists: dict[str, frozenset[AtomicType]] = {}
+    channels: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
+    later: list[_Stream] = []  # the constraint and option statements
+    try:
+        for s in statements:
+            m = _FAST_SPEC.match(s)
+            if m is None:
+                ts = _Stream(s)
+                if not (ts.accept("constraint") or ts.accept("option")):
+                    return None
+                ts.rest()
+                later.append(ts)
+                continue
+            sender, receiver, name = m.groups()
+            rest = s[m.end() :]
+            if sender is not None:
+                pair = (agents[sender], agents[receiver])
+                if pair[0] is pair[1]:
+                    return None
+                tys = lists.get(rest)
+                if tys is None:
+                    tys = lists[rest] = frozenset(map(types.__getitem__, rest.split(", ")))
+                known = channels.setdefault(pair, tys)
+                if known is not tys:
+                    channels[pair] = known | tys
+            elif name is None:
+                for piece in rest.split(", "):
+                    m = _ATOM.fullmatch(piece)
+                    if m is None or piece in types:
+                        return None
+                    kind, owner, inner = m.groups()
+                    wrapper = Certified if kind == "C" else Proof
+                    types[piece] = Base(piece) if kind is None else wrapper(owner, inner)
+            else:
+                if name in agents:
+                    return None
+                agent = agents[name] = _new_agent(name)
+                mine = holdings[agent] = set()
+                for item in rest.split(", ") if rest else ():
+                    ctor = items.get(item)
+                    if ctor is None:
+                        ctor, colon, sig = item.partition(": ")
+                        if not colon or ctor in sigs or _CTOR.fullmatch(ctor) is None:
+                            return None
+                        parts = list(map(types.__getitem__, sig.split(" -> ")))
+                        sigs[ctor] = make_signature(parts[:-1], parts[-1])
+                        items[item] = ctor
+                    if ctor in mine:
+                        return None
+                    mine.add(ctor)
+        declared = frozenset(types.values())
+        options: dict[str, tuple[int, _Stream, int]] = {}
+        constraints = []
+        for ts in later:
+            if ts.tokens[0] == "option":
+                _read_option(ts, options)
+            else:
+                constraints.append(_read_constraint(ts, agents, declared))
+        config = _config(options)
+    except (KeyError, DslError, ArchitectureError):  # a KeyError: an undeclared name
+        return None
+    return _document(declared, sigs, agents.values(), holdings, channels, constraints, config)
+
+
+def _read_spec(text: str) -> SpecDocument:
+    """A spec document read by the token reader, which raises at the first
+    error."""
     declared_types: set[AtomicType] = set()
     agents: dict[str, AgentId] = {}
     holdings: dict[AgentId, set[str]] = {}
-    ctor_sigs: dict[str, tuple[TypeExpr, _Site, int]] = {}
+    ctor_sigs: dict[str, tuple[TypeExpr, _Stream, int]] = {}
     channel_types: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
     # Each distinct type list, keyed by its raw text, and the channels naming
     # it. A list's entries keep the statement they were read from.
     type_lists: dict[str, int] = {}
-    list_entries: list[tuple[_Site, list[tuple[AtomicType, int]]]] = []
-    raw_channels: list[tuple[_Site, int, int, int]] = []
+    list_entries: list[tuple[_Stream, list[tuple[AtomicType, int]]]] = []
+    raw_channels: list[tuple[_Stream, int, int, int]] = []
     raw_constraints: list[_Stream] = []
-    # Each held constructor as (name, its position, the signature's types
-    # with their positions, a shift for those positions). Equal `ctor: sig`
-    # items the pattern reader takes share one list of types.
-    raw_holds: list[tuple[_Site, str, list[tuple[str, int, list[tuple[AtomicType, int]], int]]]] = []
+    # Each held constructor as (name, its token, the signature's types with
+    # their tokens).
+    raw_holds: list[tuple[_Stream, str, list[tuple[str, int, list[tuple[AtomicType, int]]]]]] = []
     options: dict[str, tuple[int, _Stream, int]] = {}
-    text = _blank_comments(text)
-    # What the pattern reader keeps: positions as offsets, each compact type
-    # by its text, and each `ctor: sig` item by its text.
-    site = _Offsets(text)
-    atoms: dict[str, AtomicType] = {}
-    held: dict[str, tuple[str, list[tuple[AtomicType, int]]]] = {}
 
-    def read_fast(m: re.Match[str], stop: int) -> bool:
-        """Read a statement in printed form, whose list starts where `m`
-        ends. Returns False, having kept nothing, when its list is spelled
-        otherwise or `_Stream` would raise."""
-        sender, receiver, name = m.groups()
-        rest = m.end()
-        if sender is not None:
-            key = text[rest:stop]
-            k = type_lists.get(key)
-            if k is None:
-                entries = _atoms(key, ", ", rest, atoms)
-                if entries is None:
-                    return False
-                k = type_lists[key] = len(list_entries)
-                list_entries.append((site, entries))
-            sender_i, receiver_i = m.start(1), m.start(2)
-            site.tokens[sender_i] = sender
-            site.tokens[receiver_i] = receiver
-            raw_channels.append((site, sender_i, receiver_i, k))
-            return True
-        if name is None:
-            entries = _atoms(text[rest:stop], ", ", 0, atoms)
-            if entries is None:
-                return False
-            types = [ty for ty, _ in entries]
-            if len(set(types)) < len(types) or not declared_types.isdisjoint(types):
-                return False
-            declared_types.update(types)
-            return True
-        if name in agents:
-            return False
-        try:
-            agent = _new_agent(name)
-        except ArchitectureError:
-            return False
-        holds = []
-        start = rest
-        if start < stop:
-            for item in text[start:stop].split(", "):
-                layout = held.get(item)
-                if layout is None:
-                    layout = _held(item, atoms)
-                    if layout is None:
-                        return False
-                    held[item] = layout
-                ctor, parts = layout
-                holds.append((ctor, start, parts, start))
-                start += len(item) + 2
-        agents[name] = agent
-        raw_holds.append((site, name, holds))
-        return True
-
-    def read(ts: _Stream) -> None:
+    for start, stop in _statements(text):
+        ts = _stream(text, start, stop)
         tokens = ts.tokens
         head = ts.expect_kind(IDENT)
         keyword = tokens[head]
@@ -621,7 +652,7 @@ def parse_spec(text: str) -> SpecDocument:
                 k = type_lists[key] = len(list_entries)
                 list_entries.append((ts, entries))
             raw_channels.append((ts, sender, receiver, k))
-            return
+            continue
         ts.rest()
         if keyword == "types":
             while True:
@@ -638,7 +669,7 @@ def parse_spec(text: str) -> SpecDocument:
             if name in agents:
                 raise ts.error(ResolveError, f"duplicate agent {name}", name_i)
             agents[name] = _agent_id(ts, name_i)
-            holds: list[tuple[str, int, list[tuple[AtomicType, int]], int]] = []
+            holds: list[tuple[str, int, list[tuple[AtomicType, int]]]] = []
             if ts.accept("holds"):
                 while True:
                     ctor, ctor_i = _parse_ctor_name(ts)
@@ -646,7 +677,7 @@ def parse_spec(text: str) -> SpecDocument:
                     parts = [_parse_type(ts)]
                     while ts.accept("->"):
                         parts.append(_parse_type(ts))
-                    holds.append((ctor, ctor_i, parts, 0))
+                    holds.append((ctor, ctor_i, parts))
                     if not ts.accept(","):
                         break
             ts.done()
@@ -654,18 +685,7 @@ def parse_spec(text: str) -> SpecDocument:
         elif keyword == "constraint":
             raw_constraints.append(ts)
         elif keyword == "option":
-            name_i = ts.expect_kind(IDENT)
-            ts.expect("=")
-            value_i = ts.expect_kind(NUMBER)
-            ts.done()
-            name, digits = tokens[name_i], tokens[value_i]
-            if name in options:
-                raise ts.error(ResolveError, f"duplicate option {name}", name_i)
-            try:
-                value = int(digits)
-            except ValueError:  # past the interpreter's digit limit
-                raise ts.error(ParseError, f"number too long ({len(digits)} digits)", value_i) from None
-            options[name] = (value, ts, name_i)
+            _read_option(ts, options)
         else:
             raise ts.error(
                 ParseError,
@@ -674,47 +694,25 @@ def parse_spec(text: str) -> SpecDocument:
                 head,
             )
 
-    for start, stop in _statements(text):
-        m = _FAST_SPEC.match(text, start, stop)
-        if m is None or not read_fast(m, stop):
-            read(_stream(text, start, stop))
-
-    def require_type(ts: _Site, ty: AtomicType, i: int) -> AtomicType:
-        if ty not in declared_types:
-            raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", i)
-        return ty
-
-    def require_agent(ts: _Site, i: int) -> AgentId:
-        agent = agents.get(ts.tokens[i])
-        if agent is None:
-            raise ts.error(ResolveError, f"undeclared agent {ts.tokens[i]}", i)
-        return agent
-
-    # Constructors: every declaration site must agree on the signature. An
-    # item is resolved where it first occurs; a repeat of it names the same
-    # constructor with the same signature, so only the agent's own list can
-    # still object.
-    resolved: set[int] = set()
+    # Constructors: every declaration site must agree on the signature.
     for ts, name, holds in raw_holds:
         agent = agents[name]
         mine = holdings.setdefault(agent, set())
-        for ctor, ctor_i, parts, shift in holds:
-            if id(parts) not in resolved:
-                resolved.add(id(parts))
-                for ty, i in parts:
-                    require_type(ts, ty, i + shift)
-                sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
-                known = ctor_sigs.get(ctor)
-                if known is not None and known[0] != sig:
-                    first_line, _ = known[1].where(known[2])
-                    raise ts.error(
-                        ResolveError,
-                        f"constructor {ctor} redeclared with a different signature "
-                        f"(first declared at line {first_line})",
-                        ctor_i,
-                    )
-                if known is None:
-                    ctor_sigs[ctor] = (sig, ts, ctor_i)
+        for ctor, ctor_i, parts in holds:
+            for ty, i in parts:
+                _require_type(ts, declared_types, ty, i)
+            sig = make_signature([ty for ty, _ in parts[:-1]], parts[-1][0])
+            known = ctor_sigs.get(ctor)
+            if known is not None and known[0] != sig:
+                first_line, _ = known[1].where(known[2])
+                raise ts.error(
+                    ResolveError,
+                    f"constructor {ctor} redeclared with a different signature "
+                    f"(first declared at line {first_line})",
+                    ctor_i,
+                )
+            if known is None:
+                ctor_sigs[ctor] = (sig, ts, ctor_i)
             if ctor in mine:
                 raise ts.error(
                     ResolveError, f"agent {agent.name} lists constructor {ctor} twice", ctor_i
@@ -724,75 +722,108 @@ def parse_spec(text: str) -> SpecDocument:
     # A list is resolved where it first occurs, so an error names that site.
     list_types: list[frozenset[AtomicType] | None] = [None] * len(list_entries)
     for ts, sender_i, receiver_i, k in raw_channels:
-        sender = require_agent(ts, sender_i)
-        receiver = require_agent(ts, receiver_i)
+        sender = _require_agent(ts, agents, sender_i)
+        receiver = _require_agent(ts, agents, receiver_i)
         if sender == receiver:
             raise ts.error(ResolveError, f"channel from {sender.name} to itself", sender_i)
         types = list_types[k]
         if types is None:
             first, entries = list_entries[k]
-            types = list_types[k] = frozenset(require_type(first, ty, i) for ty, i in entries)
+            types = list_types[k] = frozenset(
+                _require_type(first, declared_types, ty, i) for ty, i in entries
+            )
         pair = (sender, receiver)
         known = channel_types.get(pair)
         channel_types[pair] = types if known is None else known | types
 
-    constraints: list[Constraint] = []
-    for ts in raw_constraints:
-        first = ts.pos
-        try:
-            if ts.peek() == "pos":
-                ts.expect("pos")
-                ts.expect("(")
-                subject = require_agent(ts, ts.expect_kind(IDENT))
-                ts.expect(",")
-                ty, i = _parse_type(ts)
-                ts.expect(")")
-                ts.done()
-                constraints.append(Positive(subject, require_type(ts, ty, i)))
-            elif ts.peek() == "local":
-                ts.expect("local")
-                sender = require_agent(ts, ts.expect_kind(IDENT))
-                ts.expect("->")
-                receiver = require_agent(ts, ts.expect_kind(IDENT))
-                ts.expect(":")
-                ty, i = _parse_type(ts)
-                ts.expect("prev")
-                prev = require_agent(ts, ts.expect_kind(IDENT))
-                ts.done()
-                constraints.append(LocalSend(sender, require_type(ts, ty, i), receiver, prev))
-            else:
-                subject = require_agent(ts, ts.expect_kind(IDENT))
-                ts.expect("ni")
-                trig, trig_i = _parse_type(ts)
-                ts.expect("=>")
-                mark = ts.pos
-                holder_i = ts.expect_kind(IDENT)
-                if ts.accept("ni"):
-                    holder = require_agent(ts, holder_i)
-                    req, req_i = _parse_type(ts)
-                    ts.done()
-                    constraints.append(
-                        NegPossess(
-                            subject,
-                            require_type(ts, trig, trig_i),
-                            holder,
-                            require_type(ts, req, req_i),
-                        )
-                    )
-                else:
-                    ts.pos = mark
-                    req, req_i = _parse_type(ts)
-                    ts.done()
-                    constraints.append(
-                        NegCreate(
-                            subject,
-                            require_type(ts, trig, trig_i),
-                            require_type(ts, req, req_i),
-                        )
-                    )
-        except ConstraintError as exc:
-            raise ts.error(ResolveError, str(exc), first) from exc
+    constraints = [_read_constraint(ts, agents, declared_types) for ts in raw_constraints]
+    sigs = {name: sig for name, (sig, _, _) in ctor_sigs.items()}
+    return _document(
+        declared_types, sigs, agents.values(), holdings, channel_types, constraints,
+        _config(options),
+    )
 
+
+def _require_type(
+    ts: _Stream, declared: Container[AtomicType], ty: AtomicType, i: int
+) -> AtomicType:
+    if ty not in declared:
+        raise ts.error(ResolveError, f"undeclared type {type_name(ty)}", i)
+    return ty
+
+
+def _require_agent(ts: _Stream, agents: Mapping[str, AgentId], i: int) -> AgentId:
+    agent = agents.get(ts.tokens[i])
+    if agent is None:
+        raise ts.error(ResolveError, f"undeclared agent {ts.tokens[i]}", i)
+    return agent
+
+
+def _read_constraint(
+    ts: _Stream, agents: Mapping[str, AgentId], declared: Container[AtomicType]
+) -> Constraint:
+    """Shape and resolve a constraint statement, read up to its keyword."""
+    first = ts.pos
+    agent = functools.partial(_require_agent, ts, agents)
+    known = functools.partial(_require_type, ts, declared)
+    try:
+        if ts.peek() == "pos":
+            ts.expect("pos")
+            ts.expect("(")
+            subject = agent(ts.expect_kind(IDENT))
+            ts.expect(",")
+            ty, i = _parse_type(ts)
+            ts.expect(")")
+            ts.done()
+            return Positive(subject, known(ty, i))
+        if ts.peek() == "local":
+            ts.expect("local")
+            sender = agent(ts.expect_kind(IDENT))
+            ts.expect("->")
+            receiver = agent(ts.expect_kind(IDENT))
+            ts.expect(":")
+            ty, i = _parse_type(ts)
+            ts.expect("prev")
+            prev = agent(ts.expect_kind(IDENT))
+            ts.done()
+            return LocalSend(sender, known(ty, i), receiver, prev)
+        subject = agent(ts.expect_kind(IDENT))
+        ts.expect("ni")
+        trig, trig_i = _parse_type(ts)
+        ts.expect("=>")
+        mark = ts.pos
+        holder_i = ts.expect_kind(IDENT)
+        if ts.accept("ni"):
+            holder = agent(holder_i)
+            req, req_i = _parse_type(ts)
+            ts.done()
+            return NegPossess(subject, known(trig, trig_i), holder, known(req, req_i))
+        ts.pos = mark
+        req, req_i = _parse_type(ts)
+        ts.done()
+        return NegCreate(subject, known(trig, trig_i), known(req, req_i))
+    except ConstraintError as exc:
+        raise ts.error(ResolveError, str(exc), first) from exc
+
+
+def _read_option(ts: _Stream, options: dict[str, tuple[int, _Stream, int]]) -> None:
+    """Shape an option statement, read up to its keyword, into `options`:
+    its value, its statement and its name's token, by name."""
+    name_i = ts.expect_kind(IDENT)
+    ts.expect("=")
+    value_i = ts.expect_kind(NUMBER)
+    ts.done()
+    name, digits = ts.tokens[name_i], ts.tokens[value_i]
+    if name in options:
+        raise ts.error(ResolveError, f"duplicate option {name}", name_i)
+    try:
+        value = int(digits)
+    except ValueError:  # past the interpreter's digit limit
+        raise ts.error(ParseError, f"number too long ({len(digits)} digits)", value_i) from None
+    options[name] = (value, ts, name_i)
+
+
+def _config(options: dict[str, tuple[int, _Stream, int]]) -> SynthesisConfig:
     config = SynthesisConfig()
     for name, (value, ts, i) in options.items():
         if name == "algorithm":
@@ -805,15 +836,7 @@ def parse_spec(text: str) -> SpecDocument:
             config = replace(config, m_family_cap=value)
         else:
             raise ts.error(ResolveError, f"unknown option {name}", i)
-
-    type_system = TypeSystem.build(declared_types, (
-        ConstructorDecl(name, sig) for name, (sig, _, _) in ctor_sigs.items()
-    ))
-    arch = Architecture.build(type_system, agents.values(), holdings, channel_types)
-    report = validate_architecture(arch)
-    if not report.passed:
-        raise ResolveError(f"invalid architecture: {report.lines()[0]}", 1, 1)
-    return SpecDocument.build(arch, constraints, config)
+    return config
 
 
 def print_spec(doc: SpecDocument) -> str:
@@ -862,9 +885,8 @@ def print_spec(doc: SpecDocument) -> str:
 # --- traces ------------------------------------------------------------------
 
 
-def _read_payload(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> tuple[TermExpr, AtomicType]:
-    ts.rest()
-    term = _parse_term(ts, shared)
+def _read_payload(ts: _Stream, shared: _Shared) -> tuple[TermExpr, AtomicType]:
+    term = _read_term(ts, shared)
     ts.expect(":")
     ty, _ = _parse_type(ts)
     ts.done()
@@ -874,72 +896,83 @@ def _read_payload(ts: _Stream, shared: dict[TermExpr, TermExpr]) -> tuple[TermEx
 def parse_trace(text: str, arch: Architecture) -> Trace:
     """Each statement is `Sender -> Receiver : term : TYPE;`. Agents must
     exist in the architecture; terms are resolved structurally and validated
-    later by the trace checker."""
+    later by the trace checker. A statement that repeats an earlier one,
+    blanks before it aside, is the same event."""
+    text = _blank_comments(text)
+    trace = _read_printed_trace(text, arch)
+    if trace is not None:
+        return trace
     events: list[Event] = []
-    # Each distinct printed-form statement's event, keyed by its text from its
-    # first token, and also with the blanks before it: a repeat is the same
-    # object.
-    known: dict[str, Event] = {}
+    known: dict[str, Event] = {}  # by statement text from its first character
     # Each distinct `term : TYPE`, keyed by its raw text; agents resolve per event.
     payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
-    # Equal subterms of different payloads are one object too.
-    shared: dict[TermExpr, TermExpr] = {}
-    agent_named = arch.agent_named
-    text = _blank_comments(text)
-
-    def read_fast(start: int, stop: int) -> Event | None:
-        """The event of a statement in printed form, or None when `_Stream`
-        must read it, because it is spelled otherwise or reading it raises."""
-        m = _FAST_EVENT.match(text, start, stop)
-        if m is None:
-            return None
-        statement = text[m.start(1) : stop]
+    shared: _Shared = {}  # equal subterms are one object
+    for start, stop in _statements(text):
+        statement = _lstrip_blanks(text[start:stop])
         event = known.get(statement)
-        if event is not None:
-            return event
-        sender, receiver = m.groups()
-        rest = m.end()
-        key = text[rest:stop]
-        try:
+        if event is None:
+            ts = _stream(text, start, stop)
+            sender_i = ts.expect_kind(IDENT)
+            ts.expect("->")
+            receiver_i = ts.expect_kind(IDENT)
+            ts.expect(":")
+            key = ts.raw_rest()
             payload = payloads.get(key)
             if payload is None:
-                payload = payloads[key] = _read_payload(_Stream(text, rest, stop), shared)
-            event = Event(agent_named(sender), payload[0], payload[1], agent_named(receiver))
-        except (DslError, ArchitectureError, TraceError):
-            return None
-        known[statement] = event
-        return event
-
-    for start, stop in _statements(text):
-        raw = text[start:stop]
-        event = known.get(raw)
-        if event is None:
-            event = read_fast(start, stop)
-            if event is not None:
-                known[raw] = event
-        if event is not None:
-            events.append(event)
-            continue
-        ts = _stream(text, start, stop)
-        sender_i = ts.expect_kind(IDENT)
-        ts.expect("->")
-        receiver_i = ts.expect_kind(IDENT)
-        ts.expect(":")
-        key = ts.raw_rest()
-        payload = payloads.get(key)
-        if payload is None:
-            payload = payloads[key] = _read_payload(ts, shared)
-        term, ty = payload
-        sender = _known_agent(ts, arch, sender_i)
-        receiver = _known_agent(ts, arch, receiver_i)
-        try:
-            event = Event(sender, term, ty, receiver)
-        except TraceError as exc:
-            raise ts.error(ResolveError, str(exc), sender_i) from exc
-        # A later repeat of this statement in printed form is this event.
-        known.setdefault(f"{sender.name} -> {receiver.name} : {key}", event)
+                payload = payloads[key] = _read_payload(ts, shared)
+            sender = _known_agent(ts, arch, sender_i)
+            receiver = _known_agent(ts, arch, receiver_i)
+            try:
+                event = known[statement] = Event(sender, *payload, receiver)
+            except TraceError as exc:
+                raise ts.error(ResolveError, str(exc), sender_i) from exc
         events.append(event)
     return tuple(events)
+
+
+def _read_printed_trace(text: str, arch: Architecture) -> Trace | None:
+    """A trace in printed form, read whole, or None when the token reader
+    must read it. Each distinct statement is read once, each distinct payload
+    parsed once, and the events hold `arch`'s own agents and types."""
+    pieces = text.split(";")
+    if pieces.pop().strip(" \t\r\n"):
+        return None
+    statements = list(map(_lstrip_blanks, pieces))  # a repeat is one key
+    agents = {a.name: a for a in arch.agents}
+    types = {type_name(t): t for t in arch.type_system.atomic_types}
+    events: dict[str, Event] = {}
+    payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
+    shared: _Shared = {}
+    for s in dict.fromkeys(statements):
+        m = _FAST_EVENT.match(s)
+        if m is None:
+            return None
+        rest = s[m.end() :]
+        payload = payloads.get(rest)
+        if payload is None:
+            term_text, colon, type_text = rest.rpartition(" : ")
+            ty = types.get(type_text)
+            if not colon or ty is None or _ATOM.fullmatch(type_text) is None:
+                return None
+            # A constructor name is one token here, and the `, ` between
+            # arguments is all the text the tokens leave out.
+            tokens = _TERM_TOKEN.findall(term_text)
+            if "".join(tokens) != term_text.replace(", ", ","):
+                return None
+            try:
+                term, end = _parse_term(tokens, 0, shared)
+            except _Expected:
+                end = -1
+            if end != len(tokens):
+                return None
+            payload = payloads[rest] = (term, ty)
+        sender_name, receiver_name = m.groups()
+        sender, receiver = agents.get(sender_name), agents.get(receiver_name)
+        if sender is None or receiver is None or sender is receiver:
+            return None
+        term, ty = payload
+        events[s] = Event(sender, term, ty, receiver)
+    return tuple(map(events.__getitem__, statements))
 
 
 def print_trace(trace: Trace) -> str:

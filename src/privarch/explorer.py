@@ -40,12 +40,13 @@ from .constraints import (
     NegPossess,
     Positive,
     TraceComplianceReport,
-    check_trace_compliance,
+    _judge,
 )
 from .semantics import (
     Event,
     Trace,
     TypeRules,
+    _walk,
     receive,
     seed_witnesses,
 )
@@ -174,12 +175,13 @@ class _Encoding(TypeRules):
 
 
 def reconstruct_trace(
-    arch: Architecture, abstract_events: Sequence[AbstractEvent]
+    arch: Architecture | TypeRules, abstract_events: Sequence[AbstractEvent]
 ) -> Trace:
     """Turn an abstract send sequence into a concrete trace using canonical
     witness terms (the knowledge-closure rule: witnesses are assigned once,
-    smallest first, never replaced)."""
-    rules = TypeRules(arch)
+    smallest first, never replaced). The architecture may come as its
+    constructor table, as the search passes its own."""
+    rules = arch if isinstance(arch, TypeRules) else TypeRules(arch)
     owned = seed_witnesses(rules)
     events: list[Event] = []
     for sender, msg_type, receiver in abstract_events:
@@ -195,16 +197,17 @@ def reconstruct_trace(
 
 def _concrete_check(
     arch: Architecture,
+    enc: _Encoding,
     gates: Sequence[LocalSend],
     abstract: Sequence[AbstractEvent],
     target: Constraint,
 ) -> tuple[Trace, TraceComplianceReport] | None:
     """Rebuild the concrete trace of an abstract path and judge it against
-    `target` and the gates in one compliance walk. None when the trace
-    breaks a local-send gate (the bit-level discharge is term-blind); an
-    invalid trace is a bug and raises."""
-    trace = reconstruct_trace(arch, abstract)
-    rep = check_trace_compliance(arch, trace, [target, *gates])
+    `target` and the gates in one compliance walk, both on the search's own
+    table. None when the trace breaks a local-send gate (the bit-level
+    discharge is term-blind); an invalid trace is a bug and raises."""
+    trace = reconstruct_trace(enc, abstract)
+    rep = _judge(_walk(arch, enc, trace), trace, [target, *gates])
     if not rep.validity.valid:
         raise ReconstructionFailure(
             f"reconstructed trace invalid at index {rep.validity.index}: {rep.validity.reason}"
@@ -428,7 +431,7 @@ def explore(
         """Record the counterexample if its concrete trace keeps every gate;
         otherwise the candidate is dropped and the search goes on."""
         c = negatives[ci]
-        checked = _concrete_check(arch, gates, path_to(state), c)
+        checked = _concrete_check(arch, enc, gates, path_to(state), c)
         if checked is None:
             return
         trace, rep = checked
@@ -540,7 +543,7 @@ def explore(
             if abstract is None or len(abstract) > depth:
                 missing.append(goal)
                 continue
-            checked = _concrete_check(arch, gates, abstract, goal)
+            checked = _concrete_check(arch, enc, gates, abstract, goal)
             if checked is None:
                 raise ReconstructionFailure("witness trace breaks a local-send gate")
             trace, rep = checked

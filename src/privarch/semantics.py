@@ -8,10 +8,11 @@ constructor to derivable arguments. Possession is monotone along a trace.
 One walk over a trace checks each event, indexes its delivery and folds it
 into possession, recording when each agent first possesses each type; the
 state at every prefix is read from those tables. The walk folds types as bit
-masks and skips an event object it has already walked. Witness terms, one
-canonical term per possessed (agent, type), come from a separate fold that
-only `possession_closure` and the explorer's trace reconstruction run. Both
-folds, and the explorer, read one table of constructor rows, `TypeRules`.
+masks and visits each distinct event object once, at its first index.
+Witness terms, one canonical term per possessed (agent, type), come from a
+separate fold that only `possession_closure` and the explorer's trace
+reconstruction run. Both folds, and the explorer, read one table of
+constructor rows, `TypeRules`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .architecture import Architecture, AgentId
 from .terms import (
     App,
+    Arrow,
     AtomicType,
     TermExpr,
     TypeExpr,
     CalculusError,
     apply,
     infer_type,
-    is_atomic,
     term_size,
     term_to_str,
     type_name,
@@ -79,15 +80,16 @@ class Event:
     def __init__(
         self, sender: AgentId, term: TermExpr, msg_type: AtomicType, receiver: AgentId
     ) -> None:
-        if sender == receiver:
+        # A name fixes an agent's kind and owner, so equal names are equal
+        # agents; comparing the strings skips the dataclass `__eq__`.
+        if sender.name == receiver.name:
             raise EventTypeError(f"event sends {sender.name} to itself")
-        if not is_atomic(msg_type):
+        if isinstance(msg_type, Arrow):
             raise EventTypeError("events carry atomic types only")
-        init = object.__setattr__
-        init(self, "sender", sender)
-        init(self, "term", term)
-        init(self, "msg_type", msg_type)
-        init(self, "receiver", receiver)
+        _set_sender(self, sender)
+        _set_term(self, term)
+        _set_msg_type(self, msg_type)
+        _set_receiver(self, receiver)
 
     def __reduce__(self) -> tuple:
         return (Event, (self.sender, self.term, self.msg_type, self.receiver))
@@ -98,6 +100,11 @@ class Event:
             f"{term_to_str(self.term)} : {type_name(self.msg_type)}"
         )
 
+
+# The slot setters of a frozen Event, which its constructor calls directly.
+_set_sender, _set_term, _set_msg_type, _set_receiver = (
+    Event.sender.__set__, Event.term.__set__, Event.msg_type.__set__, Event.receiver.__set__
+)
 
 Trace = tuple[Event, ...]
 
@@ -129,7 +136,7 @@ def _check_event_structure(
             ty = types[e.term] = infer_type(arch.type_system, e.term)
         except CalculusError as exc:
             raise EventTypeError(f"event {i}: {exc}") from exc
-    if ty != e.msg_type:
+    if ty is not e.msg_type and ty != e.msg_type:
         raise EventTypeError(
             f"event {i}: term {term_to_str(e.term)} has type {type_name(ty)}, "
             f"not {type_name(e.msg_type)}"
@@ -448,30 +455,36 @@ class TraceWalk:
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
     """Check validity, index deliveries and fold type-level possession in
-    one loop over the events, stopping at the first invalid one.
+    one loop over the distinct events, stopping at the first invalid one.
 
     Each agent's possession is a bit mask over `TypeRules`, closed under its
-    constructors when a delivery sets a new bit. An event object already
-    walked is skipped: it passed every check then, its sender can still
-    derive its term since possession only grows, and its receiver already
-    has the term indexed and the type possessed. An equal event that is a
-    different object is walked as usual.
+    constructors when a delivery sets a new bit. Each event object is walked
+    once, at its first index: a repeat passed every check then, its sender
+    can still derive its term since possession only grows, and its receiver
+    already has the term indexed and the type possessed. An equal event that
+    is a different object is walked as usual.
 
     Structural breakage (unknown agents, ill-typed terms) raises, since the
     verdict reasons are reserved for the two semantic failures: the channel
     does not carry the type, or the sender cannot derive the term.
     """
-    delivered: dict[AgentId, dict[TermExpr, int]] = {a: {} for a in arch.agents}
+    return _walk(arch, TypeRules(arch), events)
+
+
+def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
+    """`walk_trace` on a table already built for `arch`."""
+    agents, agent_idx, closure = rules.agents, rules.agent_idx, rules.closure
+    type_idx, type_list = rules.type_idx, rules.types
+    holdings = [arch.holdings_of(a) for a in agents]
     types: dict[TermExpr, TypeExpr] = {}
-    rules = TypeRules(arch)
-    agent_idx, type_idx, closure = rules.agent_idx, rules.type_idx, rules.closure
-    type_list = rules.types
-    held: dict[AgentId, int] = {}
-    first: dict[AgentId, dict[AtomicType, int]] = {}
+    # Per agent, by its index in `rules`.
+    delivered: list[dict[TermExpr, int]] = [{} for _ in agents]
+    held = [closure(ai, 0) for ai in range(len(agents))]
+    first: list[dict[AtomicType, int]] = [{} for _ in agents]
     first_any: dict[AtomicType, int] = {}
 
-    def gain(agent: AgentId, new: int, prefix: int) -> None:
-        mine = first[agent]
+    def gain(ai: int, new: int, prefix: int) -> None:
+        mine = first[ai]
         while new:
             low = new & -new
             new ^= low
@@ -479,32 +492,33 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
             mine[t] = prefix
             first_any.setdefault(t, prefix)
 
-    for ai, agent in enumerate(rules.agents):
-        held[agent] = closure(ai, 0)
-        first[agent] = {}
-        gain(agent, held[agent], 0)
+    for ai, mask in enumerate(held):
+        gain(ai, mask, 0)
 
-    walked: set[int] = set()
+    # The first index of each event object: the last write of a key wins.
+    ids = list(map(id, events))
+    firsts = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
     verdict = TraceCheck(True)
-    for i, e in enumerate(events):
-        if id(e) in walked:
-            continue
+    for i in sorted(firsts.values()):
+        e = events[i]
         _check_event_structure(arch, i, e, types)
         if e.msg_type not in arch.channel_types(e.sender, e.receiver):
             verdict = TraceCheck(False, i, CHANNEL)
             break
-        if not _derivable(arch.holdings_of(e.sender), delivered[e.sender], i, e.term):
+        si = agent_idx[e.sender]
+        if not _derivable(holdings[si], delivered[si], i, e.term):
             verdict = TraceCheck(False, i, POSSESSION)
             break
-        walked.add(id(e))
-        receiver = e.receiver
-        delivered[receiver].setdefault(e.term, i)
-        had = held[receiver]
+        ri = agent_idx[e.receiver]
+        delivered[ri].setdefault(e.term, i)
+        had = held[ri]
         t = type_idx[e.msg_type]
         if not (had >> t) & 1:
-            now = held[receiver] = closure(agent_idx[receiver], had | 1 << t, t)
-            gain(receiver, now & ~had, i + 1)
-    return TraceWalk(verdict, delivered, first, first_any, rules)
+            now = held[ri] = closure(ri, had | 1 << t, t)
+            gain(ri, now & ~had, i + 1)
+    return TraceWalk(
+        verdict, dict(zip(agents, delivered)), dict(zip(agents, first)), first_any, rules
+    )
 
 
 def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:

@@ -9,6 +9,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -580,6 +583,24 @@ def test_deeply_nested_term_is_a_clean_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_a_closed_stdout_is_no_input_error():
+    # As in `privarch dot spec | head -1`, the reader of standard output is
+    # gone when the command writes. It prints nothing more and exits with
+    # the status SIGPIPE gives, never 1 (analysis negative) or 2 (input).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = "import sys; from privarch.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, "dot", fixture_path("coppa_safe.parch")],
+            stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_explore_prints_a_witness_nested_400_deep(capsys, tmp_path):

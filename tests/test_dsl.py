@@ -10,6 +10,7 @@ from privarch import (
     Architecture,
     Base,
     Certified,
+    EventTypeError,
     INTERFACE,
     ORIGINAL,
     ParseError,
@@ -21,6 +22,7 @@ from privarch import (
     build_safe_architecture_v1,
     build_safe_architecture_v2,
     canonical_partition,
+    check_trace_valid,
     parse_grants,
     parse_partition,
     parse_spec,
@@ -840,6 +842,75 @@ def test_repeated_printed_statements_are_one_event(witness_events, coppa_relaxed
     again = parse_trace("\n".join([first, respaced_line, first]), arch)
     assert again[0] is again[2]
     assert again[1] == again[0] and again[1] is not again[0]
+
+
+# One fault injected into a document in printed form: the printed-form
+# reader gives up on it, and the token reader blames the fault where it
+# stands.
+
+PRINTED_SPEC = """types A, B;
+
+agent X holds a: A, f: A -> B;
+agent Y holds g: B -> A;
+
+channel X -> Y : A, B;
+channel Y -> X : A;
+
+constraint pos(Y, B);
+"""
+
+PRINTED_TRACE = "X -> Y : a : A;\nX -> Y : f(a) : B;\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, line, col, message",
+    [
+        ("Y -> X : A;", "Y -> X : A, C;", 7, 21, "undeclared type C"),
+        ("Y -> X : A;", "Y -> Z : A;", 7, 14, "undeclared agent Z"),
+        ("Y -> X : A;", "Y -> Y : A;", 7, 9, "channel from Y to itself"),
+        ("g: B -> A;", "g: B -> A;\nagent X;", 5, 7, "duplicate agent X"),
+        (
+            "g: B -> A;", "g: B -> A, f: B -> A;", 4, 26,
+            "constructor f redeclared with a different signature (first declared at line 3)",
+        ),
+    ],
+)
+def test_a_fault_in_a_printed_spec_is_blamed_by_the_token_reader(old, new, line, col, message):
+    assert dsl._read_printed_spec(PRINTED_SPEC) is not None
+    text = PRINTED_SPEC.replace(old, new)
+    assert dsl._read_printed_spec(text) is None
+    assert str(err(ResolveError, text)) == f"line {line}, col {col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "old, new, kind, line, col, message",
+    [
+        ("f(a) : B", "f(a : B", ParseError, 2, 14, "expected ')', got ':'"),
+        ("f(a) : B", "f(a,) : B", ParseError, 2, 14, "expected ident, got ')'"),
+        ("X -> Y : f", "X -> Z : f", ResolveError, 2, 6, "Z"),
+        ("X -> Y : f", "Y -> Y : f", ResolveError, 2, 1, "event sends Y to itself"),
+    ],
+)
+def test_a_fault_in_a_printed_trace_is_blamed_by_the_token_reader(old, new, kind, line, col, message):
+    arch = parse_spec(PRINTED_SPEC).architecture
+    assert dsl._read_printed_trace(PRINTED_TRACE, arch) is not None
+    text = PRINTED_TRACE.replace(old, new)
+    assert dsl._read_printed_trace(text, arch) is None
+    with pytest.raises(kind) as info:
+        parse_trace(text, arch)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+def test_an_unknown_payload_type_is_read_as_written_and_fails_the_check():
+    # A payload type the architecture does not declare is no parse error:
+    # the token reader reads it, and the trace check rejects the event.
+    arch = parse_spec(PRINTED_SPEC).architecture
+    text = PRINTED_TRACE.replace("f(a) : B", "f(a) : C")
+    assert dsl._read_printed_trace(text, arch) is None
+    trace = parse_trace(text, arch)
+    assert trace[1].msg_type == Base("C")
+    with pytest.raises(EventTypeError, match="^event 1: term f\\(a\\) has type B, not C$"):
+        check_trace_valid(arch, trace)
 
 
 # Errors found after a statement was read by a pattern, against the

@@ -39,7 +39,7 @@ from privarch import (
     term_size,
 )
 
-from privarch.semantics import TypeRules
+from privarch.semantics import TypeRules, walk_trace
 
 from conftest import read_fixture
 from generators import (
@@ -606,3 +606,28 @@ def test_fired_matches_the_reference_sweep():
                     assert rules.fired(agent, mask | 1 << t) == expected, (*where, mask, t)
                 t = rng.choice(addable)
                 mask = rules.closure(agent, mask | 1 << t, t)
+
+
+def test_a_walk_learns_the_same_from_object_fresh_copies():
+    # The walk visits each event object once, at its first index. A copy of
+    # the trace whose events are all fresh objects is walked event by event
+    # and must give the same verdict and tables.
+    rng = random.Random(0x3A1C)
+    invalid = repeats = 0
+    for _ in range(150):
+        arch = mk_architecture(rng)
+        events = mk_valid_trace(rng, arch, 8)
+        events += [rng.choice(events) for _ in events]
+        corrupted = corrupt_event(rng, arch, events) if rng.random() < 0.4 else None
+        if corrupted is not None:
+            events = corrupted[1]
+        fresh = [copy.copy(e) for e in events]
+        assert not any(a is b for a, b in zip(events, fresh))
+        walk, fresh_walk = walk_trace(arch, events), walk_trace(arch, fresh)
+        assert walk.verdict == fresh_walk.verdict
+        assert walk.first == fresh_walk.first
+        assert walk.first_any == fresh_walk.first_any
+        assert walk.delivered == fresh_walk.delivered
+        invalid += not walk.verdict.valid
+        repeats += len({id(e) for e in events}) < len(events)
+    assert invalid >= 15 and repeats >= 40
