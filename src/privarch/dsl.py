@@ -37,10 +37,11 @@ the first statement that cannot be read. A spec takes two passes: shapes in
 document order (ParseError, and ResolveError for a duplicate declaration),
 then names against the declarations (ResolveError), constraints included.
 Traces, partitions and grant lists resolve a statement's names once it is
-shaped. Leading tokens are scanned one at a time with their offsets, the
-rest in one `tokenize` batch whose offsets are found again only to raise. A
-channel type list or an event's `term : TYPE` is keyed by its raw text, so
-a repeat is read once. Both errors carry one-based line and column.
+shaped. Each statement's tokens are read once, in one scan, when its reader
+is made, and their offsets are found again only to raise. A character that
+starts no token is raised when the parser reaches it or asks for the rest
+of the statement, so an error before it in the statement wins. Both errors
+carry one-based line and column.
 
 `print_*` functions emit the canonical form: parse(print(doc)) is
 structurally equal to doc.
@@ -61,8 +62,9 @@ from .architecture import (
     ArchitectureError,
     INTERFACE,
     OUTPUT,
-    validate_architecture,
 )
+# Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
+from .architecture import validate_architecture  # noqa: F401
 from .constraints import (
     Constraint,
     ConstraintError,
@@ -157,36 +159,20 @@ def _bad_offset(tok: str) -> int:
 def tokenize(text: str, start: int = 0, stop: int | None = None) -> list[str]:
     """The token texts of `text[start:stop]`, in order. Raises ParseError at
     the first character that starts no token."""
-    tokens = _SCAN.findall(text, start, len(text) if stop is None else stop)
-    while tokens and not tokens[-1]:  # matches that only skip trailing blanks
-        tokens.pop()
-    # A stray character comes back as a token of its own, and `[^\W\d]`
-    # also admits numerals such as '²' that str.isalpha rejects. A document
-    # repeats a few dozen distinct tokens, so each is checked once.
-    bad = [tok for tok in set(tokens) if _bad_offset(tok) >= 0]
-    if bad:
-        i = min(map(tokens.index, bad))
-        k = _bad_offset(tokens[i])
-        raise _stray(text, tokens[i], k, _where_offset(text, i, start) + k)
-    return tokens
-
-
-def _stray(text: str, tok: str, k: int, pos: int) -> ParseError:
-    return ParseError(f"unexpected character {tok[k]!r}", *_line_col(text, pos))
+    ts = _Stream(text, start, stop)
+    ts.rest()
+    return ts.tokens
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _where_offset(text: str, i: int, start: int) -> int:
-    return next(islice(_SCAN.finditer(text, start), i, None)).start(1)
-
-
 def _where(text: str, i: int, start: int = 0) -> tuple[int, int]:
     """One-based line and column of token `i` of the text from `start` on,
     found by scanning it again. Only errors ask."""
-    return _line_col(text, _where_offset(text, i, start))
+    m = next(islice(_SCAN.finditer(text, start), i, None))
+    return _line_col(text, m.start(1))
 
 
 def _kind(tok: str) -> str:
@@ -197,61 +183,46 @@ def _kind(tok: str) -> str:
 
 
 class _Stream:
-    """One statement: the characters [start, stop) of its document. Tokens
-    are scanned one at a time, with their offsets, as the parser reads them,
-    until `rest` scans the remainder in one `tokenize` batch; offsets in the
-    batch are found again only to raise. Parsers keep token indices."""
+    """One statement: the characters [start, stop) of its document. Its
+    tokens are read in one scan when the stream is made, and their offsets
+    are found again only to raise. The parser reads the tokens before
+    `end`, the first that holds a stray character (one that starts no
+    token); that character is raised when the parser reaches it or asks for
+    the `rest` of the statement. Parsers keep token indices."""
 
-    __slots__ = ("text", "stop", "scan", "batch", "tokens", "offsets", "pos")
+    __slots__ = ("text", "start", "tokens", "end", "pos")
 
     def __init__(self, text: str, start: int = 0, stop: int | None = None):
         self.text = text
-        self.stop = len(text) if stop is None else stop
-        self.scan = start  # where the next token is scanned from
-        self.batch = -1  # where `rest` began scanning, once it has
-        self.tokens: list[str] = []
-        self.offsets: list[int] = []  # of the tokens scanned one at a time
+        self.start = start
+        tokens = _SCAN.findall(text, start, len(text) if stop is None else stop)
+        while tokens and not tokens[-1]:  # matches that only skip trailing blanks
+            tokens.pop()
+        # A stray character comes back as a token of its own, and `[^\W\d]`
+        # also admits numerals such as '²' that str.isalpha rejects. A
+        # statement repeats its few distinct tokens, so each is checked once.
+        bad = [tok for tok in set(tokens) if _bad_offset(tok) >= 0]
+        self.tokens = tokens
+        self.end = min(map(tokens.index, bad), default=len(tokens))
         self.pos = 0
 
-    def _more(self) -> bool:
-        """Scan one more token ahead of the batch; False at the end."""
-        if self.batch >= 0:
-            return False
-        m = _SCAN.match(self.text, self.scan, self.stop)
-        self.scan = m.end()
-        tok = m.group(1)
-        if tok is None:
-            return False
-        k = _bad_offset(tok)
-        if k >= 0:
-            raise _stray(self.text, tok, k, m.start(1) + k)
-        self.tokens.append(tok)
-        self.offsets.append(m.start(1))
-        return True
-
     def rest(self) -> None:
-        """Scan the rest of the statement in one batch."""
-        if self.batch < 0:
-            self.batch = self.scan
-            self.tokens += tokenize(self.text, self.scan, self.stop)
-
-    def raw_rest(self) -> str:
-        """The text from the next token to the end of the statement, taken
-        before `rest`: equal texts read the same, wherever they stand."""
-        if self.peek() is None:
-            return ""
-        return self.text[self.offsets[self.pos] : self.stop]
+        """Raise the statement's stray character, if it has one: the parser
+        reads the rest of the statement from `tokens` itself."""
+        if self.end < len(self.tokens):
+            tok = self.tokens[self.end]
+            k = _bad_offset(tok)
+            line, col = self.where(self.end)
+            raise ParseError(f"unexpected character {tok[k]!r}", line, col + k)
 
     def peek(self) -> str | None:
-        if self.pos < len(self.tokens) or self._more():
+        if self.pos < self.end:
             return self.tokens[self.pos]
+        self.rest()
         return None
 
     def where(self, i: int) -> tuple[int, int]:
-        lead = len(self.offsets)
-        if i < lead:
-            return _line_col(self.text, self.offsets[i])
-        return _where(self.text, i - lead, self.batch)
+        return _where(self.text, i, self.start)
 
     def error(self, cls: type[DslError], message: str, i: int) -> DslError:
         return cls(message, *self.where(i))
@@ -265,26 +236,24 @@ class _Stream:
 
     def expect(self, text: str) -> int:
         """Consume the token `text` and return its index."""
-        i = self.pos
-        if not ((i < len(self.tokens) or self._more()) and self.tokens[i] == text):
+        if self.peek() != text:
             raise self._fail(f"expected {text!r}")
-        self.pos = i + 1
-        return i
+        self.pos += 1
+        return self.pos - 1
 
     def expect_kind(self, kind: str) -> int:
         """Consume an IDENT or NUMBER token and return its index."""
-        i = self.pos
-        if not ((i < len(self.tokens) or self._more()) and _kind(self.tokens[i]) == kind):
+        tok = self.peek()
+        if tok is None or _kind(tok) != kind:
             raise self._fail(f"expected {kind}")
-        self.pos = i + 1
-        return i
+        self.pos += 1
+        return self.pos - 1
 
     def accept(self, text: str) -> bool:
-        i = self.pos
-        if (i < len(self.tokens) or self._more()) and self.tokens[i] == text:
-            self.pos = i + 1
-            return True
-        return False
+        if self.peek() != text:
+            return False
+        self.pos += 1
+        return True
 
     def done(self) -> None:
         tok = self.peek()
@@ -314,11 +283,10 @@ def _statements(text: str) -> Iterator[tuple[int, int]]:
     while (stop := find(";", pos)) >= 0:
         yield pos, stop
         pos = stop + 1
-    tail = tokenize(text, pos)
-    if tail:
-        raise ParseError(
-            "statement is missing its terminating ';'", *_where(text, len(tail) - 1, pos)
-        )
+    tail = _Stream(text, pos)
+    tail.rest()
+    if tail.tokens:
+        raise tail.error(ParseError, "statement is missing its terminating ';'", len(tail.tokens) - 1)
 
 
 def _stream(text: str, start: int, stop: int) -> _Stream:
@@ -527,12 +495,10 @@ def _document(
     holdings: dict[AgentId, set[str]], channels: dict[tuple[AgentId, AgentId], frozenset],
     constraints: list[Constraint], config: SynthesisConfig,
 ) -> SpecDocument:
-    """The document a reader read, once its architecture validates."""
+    """The document a reader read. Each reader rejects whatever
+    `validate_architecture` would report, so it is not asked again."""
     type_system = TypeSystem.build(types, (ConstructorDecl(n, t) for n, t in sigs.items()))
     arch = Architecture.build(type_system, agents, holdings, channels)
-    report = validate_architecture(arch)
-    if not report.passed:
-        raise ResolveError(f"invalid architecture: {report.lines()[0]}", 1, 1)
     return SpecDocument.build(arch, constraints, config)
 
 
@@ -558,7 +524,6 @@ def _read_printed_spec(text: str) -> SpecDocument | None:
                 ts = _Stream(s)
                 if not (ts.accept("constraint") or ts.accept("option")):
                     return None
-                ts.rest()
                 later.append(ts)
                 continue
             sender, receiver, name = m.groups()
@@ -620,11 +585,8 @@ def _read_spec(text: str) -> SpecDocument:
     holdings: dict[AgentId, set[str]] = {}
     ctor_sigs: dict[str, tuple[TypeExpr, _Stream, int]] = {}
     channel_types: dict[tuple[AgentId, AgentId], frozenset[AtomicType]] = {}
-    # Each distinct type list, keyed by its raw text, and the channels naming
-    # it. A list's entries keep the statement they were read from.
-    type_lists: dict[str, int] = {}
-    list_entries: list[tuple[_Stream, list[tuple[AtomicType, int]]]] = []
-    raw_channels: list[tuple[_Stream, int, int, int]] = []
+    # Each channel's sender and receiver tokens, and its types with theirs.
+    raw_channels: list[tuple[_Stream, int, int, list[tuple[AtomicType, int]]]] = []
     raw_constraints: list[_Stream] = []
     # Each held constructor as (name, its token, the signature's types with
     # their tokens).
@@ -641,17 +603,12 @@ def _read_spec(text: str) -> SpecDocument:
             ts.expect("->")
             receiver = ts.expect_kind(IDENT)
             ts.expect(":")
-            key = ts.raw_rest()
-            k = type_lists.get(key)
-            if k is None:
-                ts.rest()
-                entries = [_parse_type(ts)]
-                while ts.accept(","):
-                    entries.append(_parse_type(ts))
-                ts.done()
-                k = type_lists[key] = len(list_entries)
-                list_entries.append((ts, entries))
-            raw_channels.append((ts, sender, receiver, k))
+            ts.rest()
+            entries = [_parse_type(ts)]
+            while ts.accept(","):
+                entries.append(_parse_type(ts))
+            ts.done()
+            raw_channels.append((ts, sender, receiver, entries))
             continue
         ts.rest()
         if keyword == "types":
@@ -719,19 +676,16 @@ def _read_spec(text: str) -> SpecDocument:
                 )
             mine.add(ctor)
 
-    # A list is resolved where it first occurs, so an error names that site.
-    list_types: list[frozenset[AtomicType] | None] = [None] * len(list_entries)
-    for ts, sender_i, receiver_i, k in raw_channels:
+    # Equal type sets are one object, as the printed-form reader makes them,
+    # so whatever works per distinct set does its work once.
+    type_sets: dict[frozenset[AtomicType], frozenset[AtomicType]] = {}
+    for ts, sender_i, receiver_i, entries in raw_channels:
         sender = _require_agent(ts, agents, sender_i)
         receiver = _require_agent(ts, agents, receiver_i)
         if sender == receiver:
             raise ts.error(ResolveError, f"channel from {sender.name} to itself", sender_i)
-        types = list_types[k]
-        if types is None:
-            first, entries = list_entries[k]
-            types = list_types[k] = frozenset(
-                _require_type(first, declared_types, ty, i) for ty, i in entries
-            )
+        types = frozenset(_require_type(ts, declared_types, ty, i) for ty, i in entries)
+        types = type_sets.setdefault(types, types)
         pair = (sender, receiver)
         known = channel_types.get(pair)
         channel_types[pair] = types if known is None else known | types
@@ -904,8 +858,6 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
         return trace
     events: list[Event] = []
     known: dict[str, Event] = {}  # by statement text from its first character
-    # Each distinct `term : TYPE`, keyed by its raw text; agents resolve per event.
-    payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     shared: _Shared = {}  # equal subterms are one object
     for start, stop in _statements(text):
         statement = _lstrip_blanks(text[start:stop])
@@ -916,14 +868,11 @@ def parse_trace(text: str, arch: Architecture) -> Trace:
             ts.expect("->")
             receiver_i = ts.expect_kind(IDENT)
             ts.expect(":")
-            key = ts.raw_rest()
-            payload = payloads.get(key)
-            if payload is None:
-                payload = payloads[key] = _read_payload(ts, shared)
+            term, ty = _read_payload(ts, shared)
             sender = _known_agent(ts, arch, sender_i)
             receiver = _known_agent(ts, arch, receiver_i)
             try:
-                event = known[statement] = Event(sender, *payload, receiver)
+                event = known[statement] = Event(sender, term, ty, receiver)
             except TraceError as exc:
                 raise ts.error(ResolveError, str(exc), sender_i) from exc
         events.append(event)

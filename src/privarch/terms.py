@@ -230,10 +230,15 @@ def apply(head: str, args: Iterable[TermExpr]) -> TermExpr:
 
 
 def subterms(t: TermExpr) -> Iterator[TermExpr]:
-    yield t
-    if isinstance(t, App):
-        yield from subterms(t.fun)
-        yield from subterms(t.arg)
+    """`t` and every term inside it, in pre-order: an application, then the
+    subterms of its `fun`, then those of its `arg`. A stack of the parts
+    still to visit stands in for recursion, so depth costs no frames."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack += (t.arg, t.fun)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from privarch import (
     possession_closure,
     term_size,
 )
-from oracles import global_term_of_type
+from oracles import global_term_of_type, reference_tokenize
 
 AGENT_POOL = ("P0", "P1", "P2")
 TYPE_POOL = ("T0", "T1", "T2", "T3")
@@ -215,3 +215,67 @@ def mk_document(rng: random.Random) -> SpecDocument:
         m_family_cap=rng.choice((10_000, 10_000, 512)),
     )
     return SpecDocument.build(arch, constraints, options)
+
+
+def respaced(text: str) -> str:
+    """`text` with a comment after the first word of every line: no statement
+    keeps the printed form, so the token reader reads the document."""
+    return "\n".join(line.replace(" ", " #\n", 1) for line in text.split("\n"))
+
+
+# The faults `inject_fault` knows, one per kind of reader error.
+FAULTS = ("stray", "deleted", "duplicated", "undeclared", "redeclared", "moved")
+
+_KEYWORDS = frozenset(
+    ("types", "agent", "holds", "channel", "constraint", "option", "ni", "pos", "local",
+     "prev", "cell", "grant")
+)
+
+
+def inject_fault(rng: random.Random, text: str, fault: str) -> str:
+    """`text` with one fault of the kind `fault`, at a token or statement
+    that `rng` picks (positions come from the character-by-character
+    tokenizer, so they do not depend on the package's readers):
+
+    - stray: a `$` before a token;
+    - deleted: a token removed;
+    - duplicated: a token written twice;
+    - undeclared: a name, not a keyword, replaced by one nothing declares;
+    - redeclared: a statement written twice (in a spec, a types or agent
+      statement);
+    - moved: a statement moved to the end (in a spec, a types or agent
+      statement, so its names are used before they are declared).
+    """
+    tokens = reference_tokenize(text)
+    line_starts = [0]
+    line_starts += [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+
+    def offset(tok) -> int:
+        return line_starts[tok.line - 1] + tok.col - 1
+
+    if fault in ("stray", "deleted", "duplicated", "undeclared"):
+        if fault == "undeclared":
+            tokens = [t for t in tokens if t.kind == "ident" and t.text not in _KEYWORDS]
+        tok = rng.choice(tokens)
+        i = offset(tok)
+        new = {
+            "stray": "$" + tok.text,
+            "deleted": "",
+            "duplicated": f"{tok.text} {tok.text}",
+            "undeclared": "Nowhere",
+        }[fault]
+        return text[:i] + new + text[i + len(tok.text) :]
+    # Each statement as (its first token, its span up to and with its `;`).
+    statements = []
+    start, first = 0, None
+    for tok in tokens:
+        first = first or tok
+        if tok.text == ";":
+            end = offset(tok) + 1
+            statements.append((first.text, start, end))
+            start, first = end, None
+    declaring = [s for s in statements if s[0] in ("types", "agent")]
+    _, start, end = rng.choice(declaring or statements)
+    if fault == "redeclared":
+        return text[:end] + text[start:end] + text[end:]
+    return text[:start] + text[end:] + text[start:end]

@@ -9,6 +9,7 @@ import pytest
 from privarch import (
     AgentId,
     App,
+    DslError,
     Grant,
     SpecDocument,
     build_safe_architecture_v1,
@@ -18,10 +19,11 @@ from privarch import (
     print_spec,
     print_trace,
     relax_with_local_constraints,
+    validate_architecture,
 )
 from privarch import dsl
 
-from generators import mk_document, mk_valid_trace
+from generators import FAULTS, inject_fault, mk_document, mk_valid_trace, respaced
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -86,3 +88,21 @@ def test_whole_document_reads_equal_the_token_readers(seed):
             assert terms.setdefault(term, term) is term
             if isinstance(term, App):
                 stack += (term.fun, term.arg)
+
+
+@hypothesis.settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_spec_a_reader_returns_is_a_valid_architecture(seed):
+    # Both readers reject each condition `validate_architecture` reports, so
+    # neither needs to call it: whatever document either returns is valid.
+    rng = random.Random(seed)
+    for doc in documents(rng):
+        printed = print_spec(doc)
+        texts = [printed, respaced(printed)]
+        texts += [inject_fault(rng, text, fault) for text in texts[:2] for fault in FAULTS]
+        for text in texts:
+            try:
+                read = parse_spec(text)
+            except DslError:
+                continue
+            assert validate_architecture(read.architecture).passed, text

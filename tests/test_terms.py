@@ -203,6 +203,36 @@ def test_subterms_covers_everything():
     assert len(seen) == 2 * term_size(term) - 1
 
 
+def test_subterms_of_deep_terms_come_in_pre_order_without_recursion():
+    # 5,000 arguments nested inside one another, and 5,000 applied in turn
+    # (the function part nested 5,000 deep).
+    nested = Con("a")
+    for _ in range(5000):
+        nested = App(Con("f"), nested)
+    expected, t = [], nested
+    while isinstance(t, App):
+        expected += [t, t.fun]
+        t = t.arg
+    expected.append(t)
+    got = list(subterms(nested))
+    assert len(got) == len(expected) == 10_001
+    assert all(a is b for a, b in zip(got, expected))
+
+    args = [Con(f"a{i}") for i in range(5000)]
+    applied = apply("m", args)
+    spine, t = [], applied
+    while isinstance(t, App):
+        spine.append(t)
+        t = t.fun
+    expected = spine + [t]
+    for app in reversed(spine):
+        expected.append(app.arg)
+    got = list(subterms(applied))
+    assert len(got) == len(expected) == 10_001
+    assert all(a is b for a, b in zip(got, expected))
+    assert got[-5000:] == args
+
+
 def test_duplicate_constructor_name_rejected():
     # names are identity, so a name cannot be declared twice at this level;
     # the document parser dedups re-statements before building
