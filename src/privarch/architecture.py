@@ -111,6 +111,10 @@ def report(violations: Iterable[Violation]) -> VerdictReport:
 
 @dataclass(frozen=True)
 class Architecture:
+    """Agents, their initial constructor holdings and their channels. `build`
+    shares one frozenset among all channels with equal type sets, so work
+    done once per distinct set may be memoized by the set's `id`."""
+
     type_system: TypeSystem
     agents: frozenset[AgentId]
     holdings: Mapping[AgentId, frozenset[str]]
@@ -131,8 +135,9 @@ class Architecture:
     ) -> "Architecture":
         # Empty holdings and channels are normalized away so structurally
         # equal architectures compare equal regardless of construction path.
-        h = {a: frozenset(cs) for a, cs in holdings.items() if frozenset(cs)}
-        ch = {pair: frozenset(ts) for pair, ts in channels.items() if frozenset(ts)}
+        h = {a: held for a, cs in holdings.items() if (held := frozenset(cs))}
+        shared: dict[frozenset[AtomicType], frozenset[AtomicType]] = {}
+        ch = {p: shared.setdefault(t, t) for p, tys in channels.items() if (t := frozenset(tys))}
         return Architecture(type_system, frozenset(agents), h, ch)
 
     def holdings_of(self, agent: AgentId) -> frozenset[str]:
@@ -190,8 +195,8 @@ def validate_architecture(arch: Architecture) -> VerdictReport:
                     f"{agent.name} holds undeclared constructor {name}",
                 )
             )
-    # One set difference per distinct type-set object: a parsed architecture
-    # shares one frozenset among the channels that name the same list.
+    # One set difference per distinct type set: `Architecture.build` shares
+    # one frozenset among equal channel sets.
     undeclared: dict[int, frozenset] = {}
     failing = []
     for (sender, receiver), types in arch.channels.items():

@@ -37,7 +37,7 @@ from .dsl import (
     print_spec,
 )
 from .dot import dot_lines, export_dot
-from .explorer import ExplorerError, explore
+from .explorer import DEFAULT_DEPTH, ExplorerError, explore
 from .semantics import TraceError
 
 # Bound here for benchmarks/spans.py, whose tracer wraps them in this module.
@@ -226,12 +226,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     arch = doc.architecture
     algorithm = _infer_algorithm(args, doc, args.parser)
     partition = _partition_for(args, arch)
-    if algorithm == 1:
-        negatives = [c for c in doc.constraints if isinstance(c, NegCreate)]
-        report = verify_partition_v1(arch, partition, negatives)
-    else:
-        negatives = [c for c in doc.constraints if isinstance(c, NegPossess)]
-        report = verify_partition_v2(arch, partition, negatives)
+    verify = verify_partition_v1 if algorithm == 1 else verify_partition_v2
+    report = verify(arch, partition, doc.constraints)
     payload = {
         "algorithm": algorithm,
         "passed": report.passed,
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded search for violations and witnesses")
     p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_explore)

@@ -676,16 +676,12 @@ def _read_spec(text: str) -> SpecDocument:
                 )
             mine.add(ctor)
 
-    # Equal type sets are one object, as the printed-form reader makes them,
-    # so whatever works per distinct set does its work once.
-    type_sets: dict[frozenset[AtomicType], frozenset[AtomicType]] = {}
     for ts, sender_i, receiver_i, entries in raw_channels:
         sender = _require_agent(ts, agents, sender_i)
         receiver = _require_agent(ts, agents, receiver_i)
         if sender == receiver:
             raise ts.error(ResolveError, f"channel from {sender.name} to itself", sender_i)
         types = frozenset(_require_type(ts, declared_types, ty, i) for ty, i in entries)
-        types = type_sets.setdefault(types, types)
         pair = (sender, receiver)
         known = channel_types.get(pair)
         channel_types[pair] = types if known is None else known | types
@@ -802,14 +798,16 @@ def print_spec(doc: SpecDocument) -> str:
     if joined.names:
         sections.append(["types " + ", ".join(joined.names) + ";"])
 
+    # Agents often hold the same constructors, so each declaration is
+    # written out once.
+    declaration = functools.cache(
+        lambda name: f"{name}: {type_name(ts.constructor(name).signature)}"
+    )
     agent_lines = []
     for a in arch.sorted_agents():
         held = sorted(arch.holdings_of(a))
         if held:
-            decls = ", ".join(
-                f"{name}: {type_name(ts.constructor(name).signature)}" for name in held
-            )
-            agent_lines.append(f"agent {a.name} holds {decls};")
+            agent_lines.append(f"agent {a.name} holds {', '.join(map(declaration, held))};")
         else:
             agent_lines.append(f"agent {a.name};")
     if agent_lines:

@@ -135,9 +135,9 @@ class _Encoding(TypeRules):
             self.forward_sends.append(fkey)
 
         # Channel rows carry masks of the types whose sends are gated or
-        # discharge a gate, so the hot loop can skip the dict lookups. Each
-        # distinct type-set object's mask is worked out once, and a channel's
-        # gate masks come from the gates that name its ends.
+        # discharge a gate, so the hot loop can skip the dict lookups. The mask
+        # of each type-set object, one per distinct set (`Architecture.build`),
+        # is worked out once; a channel's gate masks come from its ends' gates.
         required = self._pair_masks(self.gate_required)
         discharges = self._pair_masks(self.gate_sets)
         masks: dict[int, int] = {}
@@ -222,28 +222,25 @@ def _concrete_check(
 
 @dataclass(frozen=True)
 class _Saturation:
-    """Everything any agent could ever possess: the wave at which each
-    (agent idx, type idx) atom first appears, how it first arose, and the
-    earliest wave each gate's forward send can happen."""
+    """Everything any agent could ever possess: how each (agent idx, type
+    idx) atom first arose, and the earliest wave each gate's forward send
+    can happen."""
 
-    atom_round: dict[tuple[int, int], int]
     derivation: dict[tuple[int, int], tuple]
     forward_round: dict[tuple[int, int, int], int]
 
 
 def _saturate(enc: _Encoding) -> _Saturation:
-    atom_round: dict[tuple[int, int], int] = {}
     derivation: dict[tuple[int, int], tuple] = {}
     forward_round: dict[tuple[int, int, int], int] = {}
 
-    def gain(agent: int, mask: int, wave: int, new: int | None = None) -> int:
+    def gain(agent: int, mask: int, new: int | None = None) -> int:
         for t, arg_idxs in enc.fired(agent, mask, new):
-            atom_round[(agent, t)] = wave
             derivation[(agent, t)] = ("ctor", arg_idxs)
             mask |= 1 << t
         return mask
 
-    fields = [gain(i, 0, 0) for i in range(len(enc.agents))]
+    fields = [gain(i, 0) for i in range(len(enc.agents))]
     discharged = 0  # gate bits whose forward send has happened
     wave = 0
     progressed = True
@@ -271,11 +268,10 @@ def _saturate(enc: _Encoding) -> _Saturation:
                     discharged |= enc.gate_sets[(s, t, r)]
                     progressed = True
                 if not fields[r] & bit:
-                    atom_round[(r, t)] = wave
                     derivation[(r, t)] = ("recv", s, wave)
-                    fields[r] = gain(r, fields[r] | bit, wave, t)
+                    fields[r] = gain(r, fields[r] | bit, t)
                     progressed = True
-    return _Saturation(atom_round, derivation, forward_round)
+    return _Saturation(derivation, forward_round)
 
 
 def _demand_witness(
@@ -285,7 +281,7 @@ def _demand_witness(
     Returns None when saturation never produced the goal, i.e. no witness
     exists at any depth. The proof is followed with explicit stacks, so a
     long relay chain needs no deep recursion."""
-    if (goal_agent, goal_type) not in sat.atom_round:
+    if (goal_agent, goal_type) not in sat.derivation:
         return None
     events: dict[tuple[int, int, int], int] = {}
     seen_atoms: set[tuple[int, int]] = set()

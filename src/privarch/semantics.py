@@ -122,18 +122,19 @@ class TraceCheck:
 
 
 def _check_event_structure(
-    arch: Architecture, i: int, e: Event, types: dict[TermExpr, TypeExpr]
-) -> None:
-    """Raise unless both ends of the event exist and its term has the
-    declared type. `types` holds the type of each distinct term met so far
-    in this pass, so a repeated term is inferred once."""
-    for end in (e.sender, e.receiver):
-        if end not in arch.agents:
+    rules: TypeRules, i: int, e: Event, types: dict[TermExpr, TypeExpr]
+) -> tuple[int, int]:
+    """The ends' indices in `rules`; raise unless both ends exist and the term
+    has the declared type. `types` holds the type of each distinct term met
+    so far in this pass, so a repeated term is inferred once."""
+    ends = rules.agent_idx.get(e.sender), rules.agent_idx.get(e.receiver)
+    for end, at in zip((e.sender, e.receiver), ends):
+        if at is None:
             raise EventTypeError(f"event {i}: unknown agent {end.name}")
     ty = types.get(e.term)
     if ty is None:
         try:
-            ty = types[e.term] = infer_type(arch.type_system, e.term)
+            ty = types[e.term] = infer_type(rules.type_system, e.term)
         except CalculusError as exc:
             raise EventTypeError(f"event {i}: {exc}") from exc
     if ty is not e.msg_type and ty != e.msg_type:
@@ -141,6 +142,7 @@ def _check_event_structure(
             f"event {i}: term {term_to_str(e.term)} has type {type_name(ty)}, "
             f"not {type_name(e.msg_type)}"
         )
+    return ends
 
 
 def _derivable(
@@ -473,7 +475,7 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
 
 def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
     """`walk_trace` on a table already built for `arch`."""
-    agents, agent_idx, closure = rules.agents, rules.agent_idx, rules.closure
+    agents, closure = rules.agents, rules.closure
     type_idx, type_list = rules.type_idx, rules.types
     holdings = [arch.holdings_of(a) for a in agents]
     types: dict[TermExpr, TypeExpr] = {}
@@ -501,15 +503,13 @@ def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> Trac
     verdict = TraceCheck(True)
     for i in sorted(firsts.values()):
         e = events[i]
-        _check_event_structure(arch, i, e, types)
+        si, ri = _check_event_structure(rules, i, e, types)
         if e.msg_type not in arch.channel_types(e.sender, e.receiver):
             verdict = TraceCheck(False, i, CHANNEL)
             break
-        si = agent_idx[e.sender]
         if not _derivable(holdings[si], delivered[si], i, e.term):
             verdict = TraceCheck(False, i, POSSESSION)
             break
-        ri = agent_idx[e.receiver]
         delivered[ri].setdefault(e.term, i)
         had = held[ri]
         t = type_idx[e.msg_type]

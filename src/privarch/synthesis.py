@@ -279,8 +279,7 @@ def _extend(
     )
     interfaces, holdings, links = layout(originals, bases, certifier_names)
     holdings.update((a, arch.holdings_of(a)) for a in originals)
-    # The input types are all base types (checked above). All links share one
-    # type set and all mesh channels another.
+    # The input types are all base types (checked above).
     channels = dict.fromkeys(links, ts.atomic_types)
     mesh = itertools.permutations(interfaces, 2)
     channels.update(dict.fromkeys(mesh, safe_ts.atomic_types - ts.atomic_types))
@@ -365,7 +364,7 @@ def relax_with_local_constraints(
     sends a base type to a proof holder), which is exactly why the gate exists.
     """
     arch = safe.arch
-    channels = {pair: set(types) for pair, types in arch.channels.items()}
+    channels = dict(arch.channels)
     gates: list[LocalSend] = []
     for g in grants:
         if (
@@ -385,7 +384,8 @@ def relax_with_local_constraints(
                 f"grants carry declared base types only, got {type_name(g.msg_type)}"
             )
         owner = arch.agent_named(g.input_agent.owner)
-        channels.setdefault((g.input_agent, g.output_agent), set()).add(g.msg_type)
+        pair = (g.input_agent, g.output_agent)
+        channels[pair] = channels.get(pair, frozenset()) | {g.msg_type}
         gates.append(LocalSend(g.input_agent, g.msg_type, g.output_agent, owner))
     relaxed = Architecture.build(arch.type_system, arch.agents, arch.holdings, channels)
     gates_out = tuple(dict.fromkeys(gates))

@@ -19,9 +19,9 @@ type comes from the owner).
 
 report() sorts the violations by code and subject, so the checks may visit
 agents, holdings and channels in any order. p2 finds the leaking types of
-each distinct type-set object once, since a parsed or synthesized
-architecture shares one set among many channels, and then reports them on
-every cross-cell channel that carries that set.
+each distinct type-set object once, since `Architecture.build` shares one
+set among all channels with equal type sets, and then reports them on every
+cross-cell channel that carries that set.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .architecture import Architecture, AgentId, UnknownAgent, Violation, VerdictReport, report
-from .constraints import NegCreate, NegPossess
+from .constraints import Constraint, NegCreate
 from .terms import (
     AtomicType,
     Base,
@@ -149,8 +149,8 @@ def _boundary_violations(
     arch: Architecture, partition: Partition, allowed: tuple[type, ...]
 ) -> list[Violation]:
     violations = []
-    # The leaking types of each distinct type-set object, found once: a
-    # parsed or synthesized architecture shares one set among many channels.
+    # The leaking types of each distinct type-set object, found once:
+    # `Architecture.build` shares one set among equal channel sets.
     leaks: dict[int, list] = {}
     for (s, r), types in arch.channels.items():
         cell = partition.cell_of(s)
@@ -196,7 +196,7 @@ def _unwrap_cell_violations(arch: Architecture, partition: Partition) -> list[Vi
 
 
 def verify_partition_v1(
-    arch: Architecture, partition: Partition, constraints: Iterable[NegCreate]
+    arch: Architecture, partition: Partition, constraints: Iterable[Constraint]
 ) -> VerdictReport:
     """Premises of the certified-only discipline (four checks)."""
     _require_declared(arch)
@@ -228,7 +228,7 @@ def verify_partition_v1(
 
 
 def verify_partition_v2(
-    arch: Architecture, partition: Partition, constraints: Iterable[NegPossess] = ()
+    arch: Architecture, partition: Partition, constraints: Iterable[Constraint] = ()
 ) -> VerdictReport:
     """Premises of the proof discipline (five checks).
 

@@ -26,6 +26,7 @@ from privarch import (
     make_signature,
     possession_closure,
     term_size,
+    type_sort_key,
 )
 from oracles import global_term_of_type, reference_tokenize
 
@@ -68,6 +69,8 @@ def mk_architecture(
 
 
 def mk_valid_trace(rng: random.Random, arch: Architecture, max_len: int = 4) -> list[Event]:
+    # Each channel's types in `type_sort_key` order, not set order, so the
+    # trace follows from the seed alone, whatever PYTHONHASHSEED is.
     events: list[Event] = []
     length = rng.randint(0, max_len)
     while len(events) < length:
@@ -75,7 +78,7 @@ def mk_valid_trace(rng: random.Random, arch: Architecture, max_len: int = 4) -> 
         options = [
             (s, r, ty)
             for (s, r) in arch.channels
-            for ty in arch.channel_types(s, r)
+            for ty in sorted(arch.channel_types(s, r), key=type_sort_key)
             if ty in state.types_of(s)
         ]
         if not options:

@@ -341,6 +341,24 @@ def test_grant_opens_gated_channel(safe_v2):
     assert relaxed.arch.holdings == safe_v2.arch.holdings
 
 
+def test_relaxed_channels_share_one_set_per_distinct_type_set(safe_v2):
+    # The verifier's p2 and the search encoding work once per type-set
+    # object, so equal channel sets must stay one object after relaxation.
+    grants = [
+        Grant(AgentId.interface_of(a), POLICY, AgentId.output_of(a))
+        for a in (CHILD, PARENT, WEBSITE)
+    ]
+    grants.append(Grant(AgentId.interface_of(PARENT), INFO, AgentId.output_of(PARENT)))
+    relaxed, _ = relax_with_local_constraints(safe_v2, grants)
+    channels = relaxed.arch.channels
+    assert len({id(types) for types in channels.values()}) == len(set(channels.values())) == 4
+    assert {POLICY, INFO} <= channels[grants[-1].input_agent, grants[-1].output_agent]
+    granted = {(g.input_agent, g.output_agent) for g in grants}
+    for pair, types in safe_v2.arch.channels.items():
+        if pair not in granted:
+            assert channels[pair] is types
+
+
 def test_grant_must_pair_matching_interfaces(safe_v2):
     i_parent = AgentId.interface_of(PARENT)
     o_web = AgentId.output_of(WEBSITE)
