@@ -14,8 +14,13 @@ receiver with the rows `TypeRules.fired` returns.
 
 Local-send gates are tracked per state as discharged-obligation bits; term
 identity is approximated by type identity during search and checked on the
-reconstructed concrete trace, which drops the candidate if a gate fails.
-One gate table, built once per search, serves the search, saturation and
+reconstructed concrete trace. That check cannot fail, so a failure raises
+`ReconstructionFailure` as a bug: `reconstruct_trace` gives each (agent,
+type) one witness term, set once and never replaced, so a gate's forward
+send and its gated send carry the same term, and both the search and
+saturation schedule a gated send only after its forward send (saturation in
+a later wave). Witness terms therefore cannot depend on the path. One gate
+table, built once per search, serves the search, saturation and
 witness extraction: for each gated send, the gate bits it needs; for each
 forward send, the bits it sets; for each gate, its forward send. Every
 reported trace is judged by one `check_trace_compliance` walk.
@@ -73,8 +78,9 @@ class ExplorerError(Exception):
 
 
 class ReconstructionFailure(ExplorerError):
-    """The concrete trace rebuilt from an abstract path failed validation;
-    this indicates a bug in the abstraction and must never occur."""
+    """The concrete trace rebuilt from an abstract path failed validation or
+    broke a local-send gate; this indicates a bug in the abstraction and
+    must never occur."""
 
 
 AbstractEvent = tuple[AgentId, AtomicType, AgentId]
@@ -134,22 +140,15 @@ class _Encoding(TypeRules):
             self.gate_sets[fkey] = self.gate_sets.get(fkey, 0) | (1 << gi)
             self.forward_sends.append(fkey)
 
-        # Channel rows carry masks of the types whose sends are gated or
-        # discharge a gate, so the hot loop can skip the dict lookups. The mask
-        # of each type-set object, one per distinct set (`Architecture.build`),
-        # is worked out once; a channel's gate masks come from its ends' gates.
+        # Channel rows, by sender then receiver index (canonical order), carry
+        # masks of the types whose sends are gated or discharge a gate, so the
+        # hot loop can skip the dict lookups; they come from the ends' gates.
         required = self._pair_masks(self.gate_required)
         discharges = self._pair_masks(self.gate_sets)
-        masks: dict[int, int] = {}
-        self.channels: list[tuple[int, int, int, int, int]] = []
-        for (s, r), types in arch.sorted_channels():
-            si, ri = self.agent_idx[s], self.agent_idx[r]
-            mask = masks.get(id(types))
-            if mask is None:
-                mask = masks[id(types)] = sum(1 << self.type_idx[t] for t in types)
-            self.channels.append((
-                si, ri, mask, mask & required.get((si, ri), 0), mask & discharges.get((si, ri), 0)
-            ))
+        self.channels: list[tuple[int, int, int, int, int]] = [
+            (si, ri, mask, mask & required.get((si, ri), 0), mask & discharges.get((si, ri), 0))
+            for (si, ri), mask in sorted(self.channel_mask.items())
+        ]
 
     @staticmethod
     def _pair_masks(keys: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
@@ -196,24 +195,22 @@ def reconstruct_trace(
 
 
 def _concrete_check(
-    arch: Architecture,
     enc: _Encoding,
     gates: Sequence[LocalSend],
     abstract: Sequence[AbstractEvent],
     target: Constraint,
-) -> tuple[Trace, TraceComplianceReport] | None:
+) -> tuple[Trace, TraceComplianceReport]:
     """Rebuild the concrete trace of an abstract path and judge it against
     `target` and the gates in one compliance walk, both on the search's own
-    table. None when the trace breaks a local-send gate (the bit-level
-    discharge is term-blind); an invalid trace is a bug and raises."""
+    table. An invalid trace or a broken gate is a bug and raises."""
     trace = reconstruct_trace(enc, abstract)
-    rep = _judge(_walk(arch, enc, trace), trace, [target, *gates])
+    rep = _judge(_walk(enc, trace), trace, [target, *gates])
     if not rep.validity.valid:
         raise ReconstructionFailure(
             f"reconstructed trace invalid at index {rep.validity.index}: {rep.validity.reason}"
         )
     if not rep.local_gates.compliant:
-        return None
+        raise ReconstructionFailure("reconstructed trace breaks a local-send gate")
     return trace, rep
 
 
@@ -423,14 +420,9 @@ def explore(
             cur = parent
         return [enc.decode_event(c) for c in reversed(codes)]
 
-    def try_record(state: int, ci: int) -> None:
-        """Record the counterexample if its concrete trace keeps every gate;
-        otherwise the candidate is dropped and the search goes on."""
+    def record(state: int, ci: int) -> None:
         c = negatives[ci]
-        checked = _concrete_check(arch, enc, gates, path_to(state), c)
-        if checked is None:
-            return
-        trace, rep = checked
+        trace, rep = _concrete_check(enc, gates, path_to(state), c)
         if rep.negatives.compliant:
             raise ReconstructionFailure("abstract violation vanished on the concrete trace")
         found[ci] = (c, trace)
@@ -442,7 +434,7 @@ def explore(
 
     for trigger, required, ci in rows:
         if root & trigger and not root & required:
-            try_record(root, ci)
+            record(root, ci)
 
     pending = [row for row in rows if row[2] not in found]
     frontier = [root]
@@ -460,58 +452,33 @@ def explore(
             fields = [(state >> (i * width)) & type_mask for i in range(n_agents)]
             gate_bits = state >> gate_shift
             for s, r, chan_mask, req_mask, sets_mask in channels:
-                sendable = fields[s] & chan_mask
-                if not sendable:
-                    continue
+                # A send grows the receiver's knowledge or discharges gates;
+                # a discharge that changes nothing finds its state visited.
                 fr = fields[r]
-                m = sendable & ~fr
+                m = fields[s] & chan_mask & (~fr | sets_mask)
+                if not m:
+                    continue
                 r_shift = r * width
                 memo_r = closure_memos[r]
-                while m:  # sends that grow the receiver's knowledge
-                    bit = m & -m
-                    m ^= bit
-                    if bit & req_mask:
-                        req = gate_required[(s, bit.bit_length() - 1, r)]
-                        if (gate_bits & req) != req:
-                            continue
-                    key = fr | bit
-                    closed = memo_r.get(key)
-                    if closed is None:
-                        closed = closure(r, key, bit.bit_length() - 1)
-                    succ = state ^ ((fr ^ closed) << r_shift)
-                    if bit & sets_mask:
-                        succ |= gate_sets[(s, bit.bit_length() - 1, r)] << gate_shift
-                    if succ in visited:
-                        continue
-                    if states_visited >= budget:
-                        budget_cut = True
-                        break
-                    visited[succ] = (
-                        state,
-                        (s * width + bit.bit_length() - 1) * n_agents + r,
-                    )
-                    states_visited += 1
-                    nxt.append(succ)
-                    for trigger, required, ci in pending:
-                        if succ & trigger and not succ & required:
-                            try_record(succ, ci)
-                            if ci in found:
-                                pending = [row for row in pending if row[2] != ci]
-                if budget_cut or not pending:
-                    break
-                m = sendable & fr & sets_mask
-                while m:  # forward sends that only discharge gates
+                while m:
                     bit = m & -m
                     m ^= bit
                     t = bit.bit_length() - 1
-                    sets = gate_sets[(s, t, r)]
-                    if (gate_bits & sets) == sets:
-                        continue
                     if bit & req_mask:
                         req = gate_required[(s, t, r)]
                         if (gate_bits & req) != req:
                             continue
-                    succ = state | (sets << gate_shift)
+                    grows = not fr & bit
+                    if grows:
+                        key = fr | bit
+                        closed = memo_r.get(key)
+                        if closed is None:
+                            closed = closure(r, key, t)
+                        succ = state ^ ((fr ^ closed) << r_shift)
+                    else:
+                        succ = state
+                    if bit & sets_mask:
+                        succ |= gate_sets[(s, t, r)] << gate_shift
                     if succ in visited:
                         continue
                     if states_visited >= budget:
@@ -520,7 +487,12 @@ def explore(
                     visited[succ] = (state, (s * width + t) * n_agents + r)
                     states_visited += 1
                     nxt.append(succ)
-                if budget_cut:
+                    if grows:
+                        for trigger, required, ci in pending:
+                            if succ & trigger and not succ & required:
+                                record(succ, ci)
+                                pending = [row for row in pending if row[2] != ci]
+                if budget_cut or not pending:
                     break
             if budget_cut or not pending:
                 break
@@ -539,10 +511,7 @@ def explore(
             if abstract is None or len(abstract) > depth:
                 missing.append(goal)
                 continue
-            checked = _concrete_check(arch, enc, gates, abstract, goal)
-            if checked is None:
-                raise ReconstructionFailure("witness trace breaks a local-send gate")
-            trace, rep = checked
+            trace, rep = _concrete_check(enc, gates, abstract, goal)
             if not rep.positives[goal]:
                 raise ReconstructionFailure("witness trace does not establish its goal")
             witnesses.append((goal, trace))

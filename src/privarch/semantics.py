@@ -12,7 +12,7 @@ masks and visits each distinct event object once, at its first index.
 Witness terms, one canonical term per possessed (agent, type), come from a
 separate fold that only `possession_closure` and the explorer's trace
 reconstruction run. Both folds, and the explorer, read one table of
-constructor rows, `TypeRules`.
+constructor rows and channel masks, `TypeRules`.
 """
 
 from __future__ import annotations
@@ -301,27 +301,30 @@ class TypeRules:
     types are bit positions in `type_sort_key` order. `ctors[agent]` holds
     the agent's constructors in name order as rows (argument mask, target
     index, argument indices ascending, name), and `uses[agent]` maps each
-    type index to the rows that take it, in row order. `fired` lists the
-    rows that close a possession mask under one agent's constructors, in the
-    order one sweep after another fires them; `closure` is the union of
-    their targets, memoized per agent and mask. `walk_trace` folds a trace
-    with it, the witness fold builds terms from its rows, and the explorer's
-    search encoding and saturation extend it."""
+    type index to the rows that take it, in row order. `holdings[agent]` is
+    the agent's held constructor names and `channel_mask[(sender, receiver)]`
+    the types the channel carries, as a mask. `fired` lists the rows that
+    close a possession mask under one agent's constructors, in the order one
+    sweep after another fires them; `closure` is the union of their targets,
+    memoized per agent and mask. `walk_trace` folds a trace with it, the
+    witness fold builds terms from its rows, and the explorer's search
+    encoding and saturation extend it."""
 
     def __init__(self, arch: Architecture) -> None:
         ts = self.type_system = arch.type_system
         self.agents: list[AgentId] = arch.sorted_agents()
-        self.agent_idx = {a: i for i, a in enumerate(self.agents)}
+        agent_idx = self.agent_idx = {a: i for i, a in enumerate(self.agents)}
         self.types: list[AtomicType] = sorted(ts.atomic_types, key=type_sort_key)
-        self.type_idx = {t: i for i, t in enumerate(self.types)}
+        type_idx = self.type_idx = {t: i for i, t in enumerate(self.types)}
         self.width = len(self.types)
+        self.holdings = [arch.holdings_of(a) for a in self.agents]
         self.ctors: list[list[Row]] = []
         self.uses: list[dict[int, list[int]]] = []
         made: dict[str, Row] = {}  # agents that hold a constructor share its row
-        for a in self.agents:
+        for held in self.holdings:
             rows: list[Row] = []
             uses: dict[int, list[int]] = {}
-            for name in sorted(arch.holdings_of(a)):
+            for name in sorted(held):
                 row = made.get(name)
                 if row is None:
                     args, target = ts.parts(name)
@@ -333,6 +336,20 @@ class TypeRules:
                 rows.append(row)
             self.ctors.append(rows)
             self.uses.append(uses)
+        # The mask of each type set object, one per distinct set
+        # (`Architecture.build`), is worked out once. A type outside the type
+        # system sets no bit, and a channel with an undeclared end is left
+        # out: no valid event can use either.
+        masks: dict[int, int] = {}
+        self.channel_mask: dict[tuple[int, int], int] = {}
+        for (s, r), types in arch.channels.items():
+            si, ri = agent_idx.get(s), agent_idx.get(r)
+            if si is None or ri is None:
+                continue
+            mask = masks.get(id(types))
+            if mask is None:
+                mask = masks[id(types)] = sum(1 << type_idx[t] for t in types if t in type_idx)
+            self.channel_mask[si, ri] = mask
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
 
     def fired(
@@ -470,14 +487,13 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
     verdict reasons are reserved for the two semantic failures: the channel
     does not carry the type, or the sender cannot derive the term.
     """
-    return _walk(arch, TypeRules(arch), events)
+    return _walk(TypeRules(arch), events)
 
 
-def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
-    """`walk_trace` on a table already built for `arch`."""
-    agents, closure = rules.agents, rules.closure
-    type_idx, type_list = rules.type_idx, rules.types
-    holdings = [arch.holdings_of(a) for a in agents]
+def _walk(rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
+    """`walk_trace` on a table already built for the architecture."""
+    agents, closure, holdings = rules.agents, rules.closure, rules.holdings
+    type_idx, type_list, channel_mask = rules.type_idx, rules.types, rules.channel_mask
     types: dict[TermExpr, TypeExpr] = {}
     # Per agent, by its index in `rules`.
     delivered: list[dict[TermExpr, int]] = [{} for _ in agents]
@@ -504,7 +520,8 @@ def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> Trac
     for i in sorted(firsts.values()):
         e = events[i]
         si, ri = _check_event_structure(rules, i, e, types)
-        if e.msg_type not in arch.channel_types(e.sender, e.receiver):
+        t = type_idx[e.msg_type]
+        if not (channel_mask.get((si, ri), 0) >> t) & 1:
             verdict = TraceCheck(False, i, CHANNEL)
             break
         if not _derivable(holdings[si], delivered[si], i, e.term):
@@ -512,7 +529,6 @@ def _walk(arch: Architecture, rules: TypeRules, events: Sequence[Event]) -> Trac
             break
         delivered[ri].setdefault(e.term, i)
         had = held[ri]
-        t = type_idx[e.msg_type]
         if not (had >> t) & 1:
             now = held[ri] = closure(ri, had | 1 << t, t)
             gain(ri, now & ~had, i + 1)

@@ -375,6 +375,43 @@ def test_explore_missing_witness_is_inconclusive(capsys):
     assert "no witness within depth for pos(Website, INFO) (inconclusive)" in out
 
 
+GATED_SPEC = """types A, B;
+agent P holds a: A;
+agent Q;
+agent R;
+channel P -> Q : A;
+channel Q -> P : A;
+channel Q -> R : A;
+constraint local Q -> R : A prev P;
+constraint R ni A => P ni B;
+constraint pos(R, A);
+"""
+
+
+def test_explore_passes_a_gate_by_a_send_that_only_discharges_it(capsys, tmp_path, monkeypatch):
+    # P already holds A when Q forwards it back, so `Q -> P` changes no
+    # field and only discharges the gate on `Q -> R`. The counterexample
+    # and the witness both send through the gate.
+    monkeypatch.delenv("PRIVARCH_BUDGET", raising=False)
+    spec = tmp_path / "gated.parch"
+    spec.write_text(GATED_SPEC)
+    code, out, err = run(capsys, "explore", str(spec), "--depth", "3")
+    sends = "  P -> Q : a : A;\n  Q -> P : a : A;\n  Q -> R : a : A;\n"
+    assert (code, err) == (1, "")
+    assert out == (
+        "states visited: 4 (depth 3, budget 1000000, exhausted: no)\n"
+        "counterexample (3 events) violates R ni A => P ni B:\n" + sends
+        + "witness (3 events) for pos(R, A):\n" + sends
+    )
+    code, out, err = run(capsys, "explore", str(spec), "--depth", "2")
+    assert (code, err) == (1, "")
+    assert out == (
+        "states visited: 3 (depth 2, budget 1000000, exhausted: no)\n"
+        "no witness within depth for pos(R, A) (inconclusive)\n"
+        "no counterexamples found\n"
+    )
+
+
 def test_explore_budget_flag(capsys):
     code, out, _ = run(
         capsys, "explore", fixture_path("coppa.parch"), "--depth", "3", "--budget", "7"

@@ -330,6 +330,10 @@ def test_algorithm_option_range_checked():
         (ResolveError, "types A;\nagent X holds c: A, c: A;", 2, 21, "agent X lists constructor c twice"),
         (ResolveError, "types A;\nagent X holds a: A;\nchannel X -> X : A;", 3, 9, "channel from X to itself"),
         (ResolveError, "types A, B;\ntypes C, A;", 2, 10, "duplicate type A"),
+        (ResolveError, "types A;\nagent X holds a: A;\noption algorithm = 2;\noption algorithm = 1;",
+         4, 8, "duplicate option algorithm"),
+        (ResolveError, "types A;\nagent X holds a: A;\noption m_family_cap = 0;", 3, 8,
+         "m_family_cap must be positive"),
         (ResolveError, "types A;\nagent X holds a: A;\nagent X holds a: A;", 3, 7, "duplicate agent X"),
         # Comments, and characters that are no blank. A `;` inside a comment
         # ends no statement; only space, tab, CR and LF are blanks.
@@ -842,6 +846,15 @@ def test_repeated_printed_statements_are_one_event(witness_events, coppa_relaxed
     again = parse_trace("\n".join([first, respaced_line, first]), arch)
     assert again[0] is again[2]
     assert again[1] == again[0] and again[1] is not again[0]
+
+
+def test_printed_form_reader_unites_the_lists_of_a_repeated_channel():
+    text = PRINTED_SPEC.replace("channel X -> Y : A, B;", "channel X -> Y : A;\nchannel X -> Y : B;")
+    doc = dsl._read_printed_spec(text)
+    assert doc is not None
+    assert doc == parse_spec(respaced(text)) == parse_spec(PRINTED_SPEC)
+    x, y = doc.architecture.agent_named("X"), doc.architecture.agent_named("Y")
+    assert doc.architecture.channel_types(x, y) == {Base("A"), Base("B")}
 
 
 # One fault injected into a document in printed form: the printed-form

@@ -43,7 +43,7 @@ from privarch import (
     term_size,
 )
 
-from privarch.semantics import TypeRules, walk_trace
+from privarch.semantics import TraceCheck, TypeRules, walk_trace
 
 from conftest import read_fixture
 from generators import (
@@ -119,6 +119,20 @@ def test_echo_without_channel_invalid_at_one(coppa):
         ev(WEBSITE, Con("consent"), CONSENT, PARENT),
     ]
     check = check_trace_valid(coppa, events)
+    assert (check.valid, check.index, check.reason) == (False, 1, "channel")
+
+
+def test_a_channel_type_outside_the_type_system_is_carried_by_no_event():
+    # An architecture built through the API may list an undeclared type on a
+    # channel, or a channel to an undeclared agent; no event can use either,
+    # and the declared ones still pass.
+    a, z = Base("A"), Base("Z")
+    ts = TypeSystem.build([a], [ConstructorDecl("a", a)])
+    p, q = AgentId("P"), AgentId("Q")
+    channels = {(p, q): {a, z}, (q, AgentId("R")): {a}}
+    arch = Architecture.build(ts, [p, q], {p: {"a"}}, channels)
+    assert check_trace_valid(arch, [ev(p, Con("a"), a, q)]) == TraceCheck(True)
+    check = check_trace_valid(arch, [ev(p, Con("a"), a, q), ev(q, Con("a"), a, p)])
     assert (check.valid, check.index, check.reason) == (False, 1, "channel")
 
 

@@ -141,6 +141,20 @@ def test_v2_proof_chaining_for_shared_trigger():
     assert set(args[1:]) == {Proof("Website", "CONSENT"), Proof("Parent", "POLICY")}
 
 
+def test_type_system_builders_give_the_synthesized_type_systems(
+    coppa_v1_doc, safe_v1, coppa_doc, safe_v2
+):
+    base = coppa_v1_doc.architecture
+    ts = build_safe_type_system_v1(
+        base.type_system, base.agents, coppa_v1_doc.constraints,
+        coppa_v1_doc.options.m_family_cap,
+    )
+    assert ts == safe_v1.arch.type_system
+    base = coppa_doc.architecture
+    ts = build_safe_type_system_v2(base.type_system, base.agents, coppa_doc.constraints)
+    assert ts == safe_v2.arch.type_system
+
+
 def test_v2_io_structure(safe_v2, coppa_doc):
     arch = safe_v2.arch
     base = coppa_doc.architecture
