@@ -8,11 +8,12 @@ prefixes "I:" and "O:" which cannot collide with user agent names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .terms import (
     AtomicType,
+    Record,
     TypeSystem,
     is_atomic,
     type_name,
@@ -86,16 +87,22 @@ class AgentId:
         return (0 if self.kind == ORIGINAL else 1, self.name)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
+    __slots__ = __match_args__ = ("code", "subject", "message")
     code: str
     subject: tuple[str, ...]
     message: str
 
+    def __init__(self, code: str, subject: tuple[str, ...], message: str) -> None:
+        self._init(code, subject, message)
 
-@dataclass(frozen=True)
-class VerdictReport:
+
+class VerdictReport(Record):
+    __slots__ = __match_args__ = ("violations",)
     violations: tuple[Violation, ...]
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        self._init(violations)
 
     @property
     def passed(self) -> bool:
@@ -109,22 +116,29 @@ def report(violations: Iterable[Violation]) -> VerdictReport:
     return VerdictReport(tuple(sorted(violations, key=lambda v: (v.code, v.subject))))
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(Record):
     """Agents, their initial constructor holdings and their channels. `build`
     shares one frozenset among all channels with equal type sets, so work
-    done once per distinct set may be memoized by the set's `id`."""
+    done once per distinct set may be memoized by the set's `id`. The
+    derived `_by_name` is no field."""
 
+    __match_args__ = ("type_system", "agents", "holdings", "channels")
+    __slots__ = (*__match_args__, "_by_name")
     type_system: TypeSystem
     agents: frozenset[AgentId]
     holdings: Mapping[AgentId, frozenset[str]]
     channels: Mapping[tuple[AgentId, AgentId], frozenset[AtomicType]]
-    _by_name: Mapping[str, AgentId] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    _by_name: Mapping[str, AgentId]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {a.name: a for a in self.agents})
+    def __init__(
+        self,
+        type_system: TypeSystem,
+        agents: frozenset[AgentId],
+        holdings: Mapping[AgentId, frozenset[str]],
+        channels: Mapping[tuple[AgentId, AgentId], frozenset[AtomicType]],
+    ) -> None:
+        self._init(type_system, agents, holdings, channels)
+        object.__setattr__(self, "_by_name", {a.name: a for a in agents})
 
     @staticmethod
     def build(

@@ -10,7 +10,6 @@ same-term send having already gone to a designated receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .architecture import Architecture, AgentId
@@ -18,18 +17,21 @@ from .semantics import Event, KnowledgeState, TraceCheck, TraceWalk, walk_trace
 
 # Bound here for benchmarks/spans.py, whose tracer wraps it in this module.
 from .semantics import possession_closure  # noqa: F401
-from .terms import AtomicType, TermExpr, type_name
+from .terms import AtomicType, Record, TermExpr, type_name
 
 
 class ConstraintError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NegCreate:
+class NegCreate(Record):
+    __slots__ = __match_args__ = ("subject", "trigger", "required")
     subject: AgentId
     trigger: AtomicType
     required: AtomicType
+
+    def __init__(self, subject: AgentId, trigger: AtomicType, required: AtomicType) -> None:
+        self._init(subject, trigger, required)
 
     def __str__(self) -> str:
         return (
@@ -37,15 +39,18 @@ class NegCreate:
         )
 
 
-@dataclass(frozen=True)
-class NegPossess:
+class NegPossess(Record):
+    __slots__ = __match_args__ = ("subject", "trigger", "holder", "required")
     subject: AgentId
     trigger: AtomicType
     holder: AgentId
     required: AtomicType
 
-    def __post_init__(self) -> None:
-        if self.subject == self.holder and self.trigger == self.required:
+    def __init__(
+        self, subject: AgentId, trigger: AtomicType, holder: AgentId, required: AtomicType
+    ) -> None:
+        self._init(subject, trigger, holder, required)
+        if subject == holder and trigger == required:
             raise ConstraintError(f"trivial constraint: {self}")
 
     def __str__(self) -> str:
@@ -55,24 +60,35 @@ class NegPossess:
         )
 
 
-@dataclass(frozen=True)
-class Positive:
+class Positive(Record):
+    __slots__ = __match_args__ = ("subject", "goal")
     subject: AgentId
     goal: AtomicType
+
+    def __init__(self, subject: AgentId, goal: AtomicType) -> None:
+        self._init(subject, goal)
 
     def __str__(self) -> str:
         return f"pos({self.subject.name}, {type_name(self.goal)})"
 
 
-@dataclass(frozen=True)
-class LocalSend:
+class LocalSend(Record):
     """gate_sender may send gate_type to gate_receiver only if it previously
     sent the same term to must_prev_receiver."""
 
+    __slots__ = __match_args__ = (
+        "gate_sender", "gate_type", "gate_receiver", "must_prev_receiver"
+    )
     gate_sender: AgentId
     gate_type: AtomicType
     gate_receiver: AgentId
     must_prev_receiver: AgentId
+
+    def __init__(
+        self, gate_sender: AgentId, gate_type: AtomicType, gate_receiver: AgentId,
+        must_prev_receiver: AgentId,
+    ) -> None:
+        self._init(gate_sender, gate_type, gate_receiver, must_prev_receiver)
 
     def __str__(self) -> str:
         return (
@@ -84,10 +100,15 @@ class LocalSend:
 Constraint = NegCreate | NegPossess | Positive | LocalSend
 
 
-@dataclass(frozen=True)
-class ComplianceVerdict:
+class ComplianceVerdict(Record):
+    __slots__ = __match_args__ = ("compliant", "violations")
     compliant: bool
     violations: tuple[tuple[Constraint, int, str], ...]
+
+    def __init__(
+        self, compliant: bool, violations: tuple[tuple[Constraint, int, str], ...]
+    ) -> None:
+        self._init(compliant, violations)
 
 
 def _ok() -> ComplianceVerdict:
@@ -164,15 +185,21 @@ def check_local(events: Sequence[Event], c: LocalSend) -> ComplianceVerdict:
     return _ok()
 
 
-@dataclass(frozen=True)
-class TraceComplianceReport:
+class TraceComplianceReport(Record):
     """The verdict of one trace. An invalid trace is judged against no
     constraint: its report holds only the validity verdict."""
 
+    __slots__ = __match_args__ = ("validity", "negatives", "local_gates", "positives")
     validity: TraceCheck
     negatives: ComplianceVerdict
     local_gates: ComplianceVerdict
     positives: Mapping[Positive, bool]
+
+    def __init__(
+        self, validity: TraceCheck, negatives: ComplianceVerdict,
+        local_gates: ComplianceVerdict, positives: Mapping[Positive, bool],
+    ) -> None:
+        self._init(validity, negatives, local_gates, positives)
 
     @property
     def compliant(self) -> bool:

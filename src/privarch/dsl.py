@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from itertools import islice
 from operator import methodcaller
 from typing import Container, Iterable, Iterator, Mapping
@@ -83,6 +82,7 @@ from .terms import (
     Con,
     ConstructorDecl,
     Proof,
+    Record,
     TermExpr,
     TypeExpr,
     TypeSetText,
@@ -463,14 +463,20 @@ def canonical_constraints(constraints: Iterable[Constraint]) -> tuple[Constraint
     return tuple(sorted(set(constraints), key=constraint_sort_key))
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(Record):
     """One parsed spec file: the architecture, its constraints in canonical
     order, and synthesis options."""
 
+    __slots__ = __match_args__ = ("architecture", "constraints", "options")
     architecture: Architecture
     constraints: tuple[Constraint, ...]
-    options: SynthesisConfig = SynthesisConfig()
+    options: SynthesisConfig
+
+    def __init__(
+        self, architecture: Architecture, constraints: tuple[Constraint, ...],
+        options: SynthesisConfig = SynthesisConfig(),
+    ) -> None:
+        self._init(architecture, constraints, options)
 
     @property
     def type_system(self) -> TypeSystem:
@@ -478,8 +484,7 @@ class SpecDocument:
 
     @staticmethod
     def build(
-        architecture: Architecture,
-        constraints: Iterable[Constraint] = (),
+        architecture: Architecture, constraints: Iterable[Constraint] = (),
         options: SynthesisConfig = SynthesisConfig(),
     ) -> "SpecDocument":
         return SpecDocument(architecture, canonical_constraints(constraints), options)
@@ -774,19 +779,14 @@ def _read_option(ts: _Stream, options: dict[str, tuple[int, _Stream, int]]) -> N
 
 
 def _config(options: dict[str, tuple[int, _Stream, int]]) -> SynthesisConfig:
-    config = SynthesisConfig()
     for name, (value, ts, i) in options.items():
-        if name == "algorithm":
-            if value not in (1, 2):
-                raise ts.error(ResolveError, "algorithm must be 1 or 2", i)
-            config = replace(config, algorithm=value)
-        elif name == "m_family_cap":
-            if value < 1:
-                raise ts.error(ResolveError, "m_family_cap must be positive", i)
-            config = replace(config, m_family_cap=value)
-        else:
+        if name == "algorithm" and value not in (1, 2):
+            raise ts.error(ResolveError, "algorithm must be 1 or 2", i)
+        if name == "m_family_cap" and value < 1:
+            raise ts.error(ResolveError, "m_family_cap must be positive", i)
+        if name not in ("algorithm", "m_family_cap"):
             raise ts.error(ResolveError, f"unknown option {name}", i)
-    return config
+    return SynthesisConfig(**{name: value for name, (value, _, _) in options.items()})
 
 
 def print_spec(doc: SpecDocument) -> str:

@@ -29,7 +29,6 @@ reported trace is judged by one `check_trace_compliance` walk.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .architecture import (
@@ -64,7 +63,7 @@ from .constraints import (  # noqa: F401
     check_positive,
 )
 from .semantics import check_trace_valid, possession_closure  # noqa: F401
-from .terms import AtomicType, type_name
+from .terms import AtomicType, Record, type_name
 
 DEFAULT_DEPTH = 12
 DEFAULT_BUDGET = 1_000_000
@@ -86,8 +85,11 @@ class ReconstructionFailure(ExplorerError):
 AbstractEvent = tuple[AgentId, AtomicType, AgentId]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
+    __slots__ = __match_args__ = (
+        "counterexamples", "witnesses", "missing_witnesses", "exhausted", "states_visited",
+        "depth", "budget",
+    )
     counterexamples: tuple[tuple[Constraint, Trace], ...]
     witnesses: tuple[tuple[Positive, Trace], ...]
     missing_witnesses: tuple[Positive, ...]
@@ -95,6 +97,15 @@ class SearchOutcome:
     states_visited: int
     depth: int
     budget: int
+
+    def __init__(
+        self, counterexamples: tuple[tuple[Constraint, Trace], ...],
+        witnesses: tuple[tuple[Positive, Trace], ...], missing_witnesses: tuple[Positive, ...],
+        exhausted: bool, states_visited: int, depth: int, budget: int,
+    ) -> None:
+        self._init(
+            counterexamples, witnesses, missing_witnesses, exhausted, states_visited, depth, budget
+        )
 
     @property
     def safe(self) -> bool:
@@ -217,14 +228,20 @@ def _concrete_check(
 # --- saturation + demand-driven witness extraction --------------------------
 
 
-@dataclass(frozen=True)
-class _Saturation:
+class _Saturation(Record):
     """Everything any agent could ever possess: how each (agent idx, type
     idx) atom first arose, and the earliest wave each gate's forward send
     can happen."""
 
+    __slots__ = __match_args__ = ("derivation", "forward_round")
     derivation: dict[tuple[int, int], tuple]
     forward_round: dict[tuple[int, int, int], int]
+
+    def __init__(
+        self, derivation: dict[tuple[int, int], tuple],
+        forward_round: dict[tuple[int, int, int], int],
+    ) -> None:
+        self._init(derivation, forward_round)
 
 
 def _saturate(enc: _Encoding) -> _Saturation:
@@ -379,7 +396,7 @@ def explore(
     # Every constraint field is an agent or an atomic type.
     declared = arch.type_system.atomic_types
     for c in (*gates, *negatives, *positives):
-        for ref in vars(c).values():
+        for ref in (getattr(c, name) for name in c.__match_args__):
             if isinstance(ref, AgentId):
                 if ref not in arch.agents:
                     raise ExplorerError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
@@ -30,6 +29,7 @@ from .terms import (
     TermExpr,
     TypeExpr,
     CalculusError,
+    Record,
     apply,
     infer_type,
     term_size,
@@ -65,13 +65,11 @@ class NotDerivable(TraceError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
+class Event(Record):
     """One send: `sender` passes `term`, at atomic type `msg_type`, to
-    `receiver`. The constructor refuses a self-send and a non-atomic type;
-    `__reduce__` keeps pickling independent of the slots support of the
-    Python version's dataclasses."""
+    `receiver`. The constructor refuses a self-send and a non-atomic type."""
 
+    __slots__ = __match_args__ = ("sender", "term", "msg_type", "receiver")
     sender: AgentId
     term: TermExpr
     msg_type: AtomicType
@@ -81,7 +79,7 @@ class Event:
         self, sender: AgentId, term: TermExpr, msg_type: AtomicType, receiver: AgentId
     ) -> None:
         # A name fixes an agent's kind and owner, so equal names are equal
-        # agents; comparing the strings skips the dataclass `__eq__`.
+        # agents; comparing the strings skips `AgentId.__eq__`.
         if sender.name == receiver.name:
             raise EventTypeError(f"event sends {sender.name} to itself")
         if isinstance(msg_type, Arrow):
@@ -90,9 +88,6 @@ class Event:
         _set_term(self, term)
         _set_msg_type(self, msg_type)
         _set_receiver(self, receiver)
-
-    def __reduce__(self) -> tuple:
-        return (Event, (self.sender, self.term, self.msg_type, self.receiver))
 
     def __str__(self) -> str:
         return (
@@ -109,11 +104,14 @@ _set_sender, _set_term, _set_msg_type, _set_receiver = (
 Trace = tuple[Event, ...]
 
 
-@dataclass(frozen=True)
-class TraceCheck:
+class TraceCheck(Record):
+    __slots__ = __match_args__ = ("valid", "index", "reason")
     valid: bool
-    index: int | None = None
-    reason: str | None = None
+    index: int | None
+    reason: str | None
+
+    def __init__(self, valid: bool, index: int | None = None, reason: str | None = None) -> None:
+        self._init(valid, index, reason)
 
     def __str__(self) -> str:
         if self.valid:
@@ -126,8 +124,10 @@ def _check_event_structure(
 ) -> tuple[int, int]:
     """The ends' indices in `rules`; raise unless both ends exist and the term
     has the declared type. `types` holds the type of each distinct term met
-    so far in this pass, so a repeated term is inferred once."""
-    ends = rules.agent_idx.get(e.sender), rules.agent_idx.get(e.receiver)
+    so far in this pass, so a repeated term is inferred once. The ends are
+    looked up by name, which fixes an agent's kind and owner: a `str` keeps
+    its hash, where `AgentId.__hash__` is a Python call."""
+    ends = rules.name_idx.get(e.sender.name), rules.name_idx.get(e.receiver.name)
     for end, at in zip((e.sender, e.receiver), ends):
         if at is None:
             raise EventTypeError(f"event {i}: unknown agent {end.name}")
@@ -193,16 +193,22 @@ def derives(
     return _derivable(arch.holdings_of(agent), delivered[agent], len(events), term)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """How a derivable term came to be possessed: the agent that computed it
     from held constructors, and the chain of event indices (in order) that
     carried the exact term from the computer to the possessing agent."""
 
+    __slots__ = __match_args__ = ("computer", "head", "args", "delivery_chain")
     computer: AgentId
     head: str
     args: tuple[TermExpr, ...]
     delivery_chain: tuple[int, ...]
+
+    def __init__(
+        self, computer: AgentId, head: str, args: tuple[TermExpr, ...],
+        delivery_chain: tuple[int, ...],
+    ) -> None:
+        self._init(computer, head, args, delivery_chain)
 
 
 def generation_decompose(
@@ -297,11 +303,12 @@ Row = tuple[int, int, tuple[int, ...], str]  # one constructor row of TypeRules
 class TypeRules:
     """The one table of an architecture's constructor rules, as bit masks.
 
-    Agents are in canonical order (originals before interfaces) and atomic
-    types are bit positions in `type_sort_key` order. `ctors[agent]` holds
-    the agent's constructors in name order as rows (argument mask, target
-    index, argument indices ascending, name), and `uses[agent]` maps each
-    type index to the rows that take it, in row order. `holdings[agent]` is
+    Agents are in canonical order (originals before interfaces), indexed by
+    agent in `agent_idx` and by name in `name_idx`, and atomic types are bit
+    positions in `type_sort_key` order. `ctors[agent]` holds the agent's
+    constructors in name order as rows (argument mask, target index,
+    argument indices ascending, name), and `uses[agent]` maps each type
+    index to the rows that take it, in row order. `holdings[agent]` is
     the agent's held constructor names and `channel_mask[(sender, receiver)]`
     the types the channel carries, as a mask. `fired` lists the rows that
     close a possession mask under one agent's constructors, in the order one
@@ -314,6 +321,7 @@ class TypeRules:
         ts = self.type_system = arch.type_system
         self.agents: list[AgentId] = arch.sorted_agents()
         agent_idx = self.agent_idx = {a: i for i, a in enumerate(self.agents)}
+        self.name_idx = {a.name: i for a, i in agent_idx.items()}
         self.types: list[AtomicType] = sorted(ts.atomic_types, key=type_sort_key)
         type_idx = self.type_idx = {t: i for i, t in enumerate(self.types)}
         self.width = len(self.types)
@@ -452,8 +460,7 @@ def receive(
     return True
 
 
-@dataclass(frozen=True)
-class TraceWalk:
+class TraceWalk(Record):
     """What one forward pass over a trace learns, up to its first invalid
     event (the whole trace when `verdict` is valid).
 
@@ -465,11 +472,19 @@ class TraceWalk:
     The walk builds no witness term; `possession_closure` folds those with
     `rules`, the table the walk folded with."""
 
+    __slots__ = __match_args__ = ("verdict", "delivered", "first", "first_any", "rules")
     verdict: TraceCheck
     delivered: dict[AgentId, dict[TermExpr, int]]
     first: dict[AgentId, dict[AtomicType, int]]
     first_any: dict[AtomicType, int]
     rules: TypeRules
+
+    def __init__(
+        self, verdict: TraceCheck, delivered: dict[AgentId, dict[TermExpr, int]],
+        first: dict[AgentId, dict[AtomicType, int]], first_any: dict[AtomicType, int],
+        rules: TypeRules,
+    ) -> None:
+        self._init(verdict, delivered, first, first_any, rules)
 
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:

@@ -34,6 +34,7 @@ from .terms import (
     Certified,
     ConstructorDecl,
     Proof,
+    Record,
     TypeSystem,
     make_signature,
     type_name,
@@ -63,23 +64,42 @@ class SynthesisConfig:
     m_family_cap: int = 10_000
 
 
-@dataclass(frozen=True)
-class SynthesizedFrom:
+class SynthesizedFrom(Record):
     """Provenance of one synthesized constructor or wrapper type."""
 
+    __slots__ = __match_args__ = ("role", "agent", "base", "constraints")
     role: str  # "certifier" | "unwrapper" | "proof-maker" | "wrapper-type"
     agent: str
     base: str
-    constraints: tuple[Constraint, ...] = ()
+    constraints: tuple[Constraint, ...]
+
+    def __init__(
+        self, role: str, agent: str, base: str, constraints: tuple[Constraint, ...] = ()
+    ) -> None:
+        # Set slot by slot, as one is built per synthesized constructor.
+        init = object.__setattr__
+        init(self, "role", role)
+        init(self, "agent", agent)
+        init(self, "base", base)
+        init(self, "constraints", constraints)
 
 
-@dataclass(frozen=True)
-class SafeArchitecture:
+class SafeArchitecture(Record):
+    __slots__ = __match_args__ = (
+        "arch", "canonical_partition", "provenance", "warnings", "local_constraints"
+    )
     arch: Architecture
     canonical_partition: Partition
     provenance: Mapping[object, SynthesizedFrom]
-    warnings: tuple[str, ...] = ()
-    local_constraints: tuple[LocalSend, ...] = ()
+    warnings: tuple[str, ...]
+    local_constraints: tuple[LocalSend, ...]
+
+    def __init__(
+        self, arch: Architecture, canonical_partition: Partition,
+        provenance: Mapping[object, SynthesizedFrom], warnings: tuple[str, ...] = (),
+        local_constraints: tuple[LocalSend, ...] = (),
+    ) -> None:
+        self._init(arch, canonical_partition, provenance, warnings, local_constraints)
 
 
 def certifier_name(agent: str, base: str, witnesses: Sequence[str] = ()) -> str:
@@ -343,14 +363,17 @@ def build_safe_architecture_v2(
     )
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(Record):
     """Permission for one input interface to forward a base type straight to
     the matching output interface, bypassing the owner."""
 
+    __slots__ = __match_args__ = ("input_agent", "msg_type", "output_agent")
     input_agent: AgentId
     msg_type: AtomicType
     output_agent: AgentId
+
+    def __init__(self, input_agent: AgentId, msg_type: AtomicType, output_agent: AgentId) -> None:
+        self._init(input_agent, msg_type, output_agent)
 
 
 def relax_with_local_constraints(

@@ -9,7 +9,8 @@ this module stays independent of the architecture layer.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
@@ -29,27 +30,110 @@ class MalformedSignature(CalculusError):
     pass
 
 
-@dataclass(frozen=True)
-class Base:
+# Sets a slot of a frozen record or term, past its `__setattr__`.
+_set = object.__setattr__
+
+
+class Record:
+    """A frozen value whose fields are the names in its class's
+    `__match_args__`, each a slot. Records behave as frozen dataclasses do,
+    but no code is generated for them when their module is imported.
+
+    Two records are equal when they are of the same class and their fields
+    are equal. The hash is the field tuple's, kept in the `_hash` slot. A
+    constructor sets the fields, slot by slot where records are built in
+    bulk and with `_init` elsewhere, and leaves `_hash` unset for `__hash__`
+    to fill on first use, so a record holding a mapping only fails when
+    hashed. The constructors of the atomic types and of `Con`, whose values
+    key most tables, store the hash at once. The repr names each field.
+    Setting or deleting an attribute raises `FrozenInstanceError`. A pickle
+    or copy rebuilds the record through its constructor, so a kept hash
+    never leaves its process."""
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+    # Reads a record's fields: their tuple, or the value of the one field.
+    _key: Callable[["Record"], Any]
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def _init(self, *values: Any) -> None:
+        """Set the fields, in `__match_args__` order."""
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        value = self._key(self)
+        return value if len(self.__match_args__) > 1 else (value,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return self is other or key(self) == key(other)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            _set(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values())
+
+
+class Base(Record):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
-@dataclass(frozen=True)
-class Certified:
+
+class Certified(Record):
+    __slots__ = __match_args__ = ("reader", "inner")
     reader: str
     inner: str
 
+    def __init__(self, reader: str, inner: str) -> None:
+        _set(self, "reader", reader)
+        _set(self, "inner", inner)
+        _set(self, "_hash", hash((reader, inner)))
 
-@dataclass(frozen=True)
-class Proof:
+
+class Proof(Record):
+    __slots__ = __match_args__ = ("holder", "inner")
     holder: str
     inner: str
 
+    def __init__(self, holder: str, inner: str) -> None:
+        _set(self, "holder", holder)
+        _set(self, "inner", inner)
+        _set(self, "_hash", hash((holder, inner)))
 
-@dataclass(frozen=True)
-class Arrow:
+
+class Arrow(Record):
+    __slots__ = __match_args__ = ("domain", "codomain")
     domain: "TypeExpr"
     codomain: "TypeExpr"
+
+    def __init__(self, domain: "TypeExpr", codomain: "TypeExpr") -> None:
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
 
 
 AtomicType = Base | Certified | Proof
@@ -111,9 +195,13 @@ class TypeSetText:
         return out
 
 
-@dataclass(frozen=True)
-class Con:
+class Con(Record):
+    __slots__ = __match_args__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
 
 class App:
@@ -241,10 +329,14 @@ def subterms(t: TermExpr) -> Iterator[TermExpr]:
             stack += (t.arg, t.fun)
 
 
-@dataclass(frozen=True)
-class ConstructorDecl:
+class ConstructorDecl(Record):
+    __slots__ = __match_args__ = ("name", "signature")
     name: str
     signature: TypeExpr
+
+    def __init__(self, name: str, signature: TypeExpr) -> None:
+        _set(self, "name", name)
+        _set(self, "signature", signature)
 
 
 def make_signature(args: Iterable[AtomicType], target: AtomicType) -> TypeExpr:
@@ -274,22 +366,24 @@ def signature_parts(decl: ConstructorDecl) -> tuple[tuple[AtomicType, ...], Atom
     return tuple(args), sig
 
 
-@dataclass(frozen=True)
-class TypeSystem:
-    """Atomic types plus named constructors; names are constructor identity."""
+class TypeSystem(Record):
+    """Atomic types plus named constructors; names are constructor identity.
+    The derived tables `_by_name` and `_parts` are no fields: they take no
+    part in equality, the hash or the repr."""
 
+    __match_args__ = ("atomic_types", "constructors")
+    __slots__ = (*__match_args__, "_by_name", "_parts")
     atomic_types: frozenset[AtomicType]
     constructors: tuple[ConstructorDecl, ...]
-    _by_name: Mapping[str, ConstructorDecl] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    _by_name: Mapping[str, ConstructorDecl]
     # Each constructor's signature_parts, worked out once, as validation
     # needs them anyway.
-    _parts: Mapping[str, tuple[tuple[AtomicType, ...], AtomicType]] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    _parts: Mapping[str, tuple[tuple[AtomicType, ...], AtomicType]]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, atomic_types: frozenset[AtomicType], constructors: tuple[ConstructorDecl, ...]
+    ) -> None:
+        self._init(atomic_types, constructors)
         by_name: dict[str, ConstructorDecl] = {}
         parts: dict[str, tuple[tuple[AtomicType, ...], AtomicType]] = {}
         for decl in self.constructors:
@@ -302,8 +396,8 @@ class TypeSystem:
                         f"constructor {decl.name} mentions undeclared type {type_name(part)}"
                     )
             by_name[decl.name] = decl
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_parts", parts)
+        _set(self, "_by_name", by_name)
+        _set(self, "_parts", parts)
 
     @staticmethod
     def build(types: Iterable[AtomicType], constructors: Iterable[ConstructorDecl]) -> "TypeSystem":

@@ -26,7 +26,6 @@ cross-cell channel that carries that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .architecture import Architecture, AgentId, UnknownAgent, Violation, VerdictReport, report
@@ -37,6 +36,7 @@ from .terms import (
     Certified,
     ConstructorDecl,
     Proof,
+    Record,
     UnknownConstructor,
     is_atomic,
     signature_parts,
@@ -44,11 +44,14 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Total map from agents to the original agent owning their cell."""
 
+    __slots__ = __match_args__ = ("owner",)
     owner: Mapping[AgentId, AgentId]
+
+    def __init__(self, owner: Mapping[AgentId, AgentId]) -> None:
+        self._init(owner)
 
     def cell_of(self, agent: AgentId) -> AgentId | None:
         return self.owner.get(agent)

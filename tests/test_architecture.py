@@ -20,11 +20,20 @@ from privarch import (
     Arrow,
     Base,
     Certified,
+    Con,
     ConstructorDecl,
+    Event,
+    Grant,
     INTERFACE,
+    LocalSend,
+    NegCreate,
+    NegPossess,
     ORIGINAL,
     OUTPUT,
+    Positive,
+    Proof,
     TypeSystem,
+    apply,
     can_compute,
     make_signature,
     validate_architecture,
@@ -105,17 +114,29 @@ def test_agent_ids_keep_their_value_semantics():
 
 
 def test_unpickled_agent_ids_hash_in_their_own_process(tmp_path):
-    # String hashes differ between processes, so an agent pickled in one
-    # process must hash with the other's seed once loaded there.
-    blob = tmp_path / "agents.pickle"
-    blob.write_bytes(pickle.dumps([CHILD, AgentId.output_of(CHILD)]))
+    # String hashes differ between processes, so an agent, or a record that
+    # keeps its hash once worked out, pickled in one process must hash with
+    # the other's seed once loaded there. Each value is hashed here first,
+    # and the other process rebuilds each from its repr.
+    o_child, i_parent = AgentId.output_of(CHILD), AgentId.interface_of(PARENT)
+    values = [
+        CHILD, o_child, INFO, Certified("Website", "INFO"), Proof("Parent", "CONSENT"),
+        Arrow(INFO, CONSENT), Con("info"), apply("pair", [Con("info"), Con("consent")]),
+        NegCreate(CHILD, INFO, CONSENT), NegPossess(CHILD, INFO, PARENT, CONSENT),
+        Positive(WEBSITE, INFO), LocalSend(i_parent, INFO, o_child, PARENT),
+        Event(CHILD, Con("info"), INFO, WEBSITE), Grant(i_parent, INFO, AgentId.output_of(PARENT)),
+    ]
+    assert len({hash(v) for v in values}) == len(values)
+    blob = tmp_path / "values.pickle"
+    blob.write_bytes(pickle.dumps(values))
     probe = (
         "import pickle, sys\n"
         "from pathlib import Path\n"
-        "from privarch import AgentId\n"
-        "agents = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
-        "print(all(hash(a) == hash(AgentId(a.name, a.kind, a.owner)) for a in agents)"
-        " and AgentId('Child') in set(agents))\n"
+        "import privarch\n"
+        "values = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
+        "fresh = [eval(repr(v), vars(privarch)) for v in values]\n"
+        "print(fresh == values and [hash(v) for v in fresh] == [hash(v) for v in values]"
+        " and all(v in set(values) for v in fresh))\n"
     )
     src = str(Path(privarch.__file__).resolve().parent.parent)
     for seed in ("1", "2"):

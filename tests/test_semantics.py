@@ -165,8 +165,15 @@ def test_possession_violation_detected(coppa):
 
 
 def test_unknown_agent_is_structural(coppa):
-    with pytest.raises(EventTypeError):
+    with pytest.raises(EventTypeError) as exc:
         check_trace_valid(coppa, [ev(AgentId("Stranger"), Con("info"), INFO, WEBSITE)])
+    assert str(exc.value) == "event 0: unknown agent Stranger"
+    # The ends are looked up by name; an interface of a declared agent is
+    # still unknown when the architecture has no such interface.
+    to_interface = ev(CHILD, Con("info"), INFO, AgentId.interface_of(WEBSITE))
+    with pytest.raises(EventTypeError) as exc:
+        check_trace_valid(coppa, [ev(CHILD, Con("info"), INFO, WEBSITE), to_interface])
+    assert str(exc.value) == "event 1: unknown agent I:Website"
 
 
 def test_ill_typed_event_term_is_structural(coppa):
@@ -201,8 +208,8 @@ def test_event_str_form(coppa):
     assert str(e) == "Child -> Website : info : INFO"
 
 
-# `Event` is a frozen, slotted dataclass whose own constructor checks the
-# ends and the type, and whose `__reduce__` pickles it.
+# `Event` is a frozen, slotted record whose own constructor checks the ends
+# and the type, and which pickles through that constructor.
 
 
 def test_event_refuses_a_self_send():
