@@ -218,7 +218,10 @@ def check_trace_compliance(
     the required type is not yet possessed (by some agent, or by the named
     holder), and it holds at every prefix otherwise. This gives the first
     violating prefix that `check_neg_create` and `check_neg_possess` find
-    by scanning `possession_closure`.
+    by scanning `possession_closure`. The walk folds possession only for
+    the agents read here: each constraint's subject, a holder once its
+    subject possesses the trigger, and every agent for a creation
+    constraint.
     """
     return _judge(walk_trace(arch, events), events, constraints)
 

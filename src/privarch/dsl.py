@@ -141,7 +141,11 @@ _FAST_SPEC = re.compile(
     rf"[ \t\r\n]*(?:channel ({_AGENT}) -> ({_AGENT}) : {_LIST}|types {_LIST}"
     rf"|agent ({_AGENT})(?: holds {_LIST}|\Z))"
 )
+# The head of a printed event. `_read_printed_trace` splits a statement at
+# its first ` -> ` and ` : ` instead, and looks both ends up among the names
+# `_AGENT_NAME` takes, so it reads the statements this pattern takes.
 _FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_LIST}")
+_AGENT_NAME = re.compile(_AGENT)
 # One compact atomic type (`NAME`, `C[X](A)`, `P[X](A)`) or constructor name.
 _ATOM = re.compile(rf"([CP])\[({_AGENT})\]\(({_AGENT})\)|{_AGENT}")
 _CTOR = re.compile(rf"{_AGENT}(?:\[{_AGENT}(?:,{_AGENT})*\])*")
@@ -885,16 +889,20 @@ def _read_printed_trace(text: str, arch: Architecture) -> Trace | None:
     if pieces.pop().strip(" \t\r\n"):
         return None
     statements = list(map(_lstrip_blanks, pieces))  # a repeat is one key
-    agents = {a.name: a for a in arch.agents}
+    agents = {a.name: a for a in arch.agents if _AGENT_NAME.fullmatch(a.name)}
     types = {type_name(t): t for t in arch.type_system.atomic_types}
     events: dict[str, Event] = {}
     payloads: dict[str, tuple[TermExpr, AtomicType]] = {}
     shared: _Shared = {}
     for s in dict.fromkeys(statements):
-        m = _FAST_EVENT.match(s)
-        if m is None:
+        # A name holds no blank, so the ends are the text before the first
+        # ` -> ` and between it and the next ` : `. A payload that starts
+        # with a blank fails its token check below.
+        sender_name, _, rest = s.partition(" -> ")
+        receiver_name, _, rest = rest.partition(" : ")
+        sender, receiver = agents.get(sender_name), agents.get(receiver_name)
+        if sender is None or receiver is None or sender is receiver:
             return None
-        rest = s[m.end() :]
         payload = payloads.get(rest)
         if payload is None:
             term_text, colon, type_text = rest.rpartition(" : ")
@@ -913,10 +921,6 @@ def _read_printed_trace(text: str, arch: Architecture) -> Trace | None:
             if end != len(tokens):
                 return None
             payload = payloads[rest] = (term, ty)
-        sender_name, receiver_name = m.groups()
-        sender, receiver = agents.get(sender_name), agents.get(receiver_name)
-        if sender is None or receiver is None or sender is receiver:
-            return None
         term, ty = payload
         events[s] = Event(sender, term, ty, receiver)
     return tuple(map(events.__getitem__, statements))

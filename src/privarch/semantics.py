@@ -5,21 +5,25 @@ Derivability follows three ideas: an agent derives what it initially holds,
 what a valid event delivered to it, and any application of a derivable
 constructor to derivable arguments. Possession is monotone along a trace.
 
-One walk over a trace checks each event, indexes its delivery and folds it
-into possession, recording when each agent first possesses each type; the
-state at every prefix is read from those tables. The walk folds types as bit
-masks and visits each distinct event object once, at its first index.
-Witness terms, one canonical term per possessed (agent, type), come from a
-separate fold that only `possession_closure` and the explorer's trace
-reconstruction run. Both folds, and the explorer, read one table of
-constructor rows and channel masks, `TypeRules`.
+One validity pass over a trace checks each distinct event object once, at
+its first index, indexes its delivery, and logs each receiver's first
+delivery of each type. Possession is folded from that log on demand, one
+agent at a time when a reader first asks for it: the agent's types as a
+bit mask, closed under its constructors at each new bit, recording the
+first prefix at which it possesses each type. So a constraint check folds
+only the agents its constraints read; the state at every prefix comes from
+those tables. Witness terms, one canonical term per possessed (agent,
+type), come from a separate fold that only `possession_closure` and the
+explorer's trace reconstruction run. Both folds, and the explorer, read one
+table of constructor rows and channel masks, `TypeRules`, which builds an
+agent's rows when they are first read.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .terms import (
@@ -300,6 +304,17 @@ class KnowledgeState:
 Row = tuple[int, int, tuple[int, ...], str]  # one constructor row of TypeRules
 
 
+class _Rows(dict):
+    """`TypeRules.ctors` or `TypeRules.uses`: a dict by agent index whose
+    entry for an agent is built, with the other table's, on its first read."""
+
+    __slots__ = ("_build",)
+
+    def __missing__(self, agent: int):
+        self._build(agent)
+        return self[agent]
+
+
 class TypeRules:
     """The one table of an architecture's constructor rules, as bit masks.
 
@@ -308,14 +323,16 @@ class TypeRules:
     positions in `type_sort_key` order. `ctors[agent]` holds the agent's
     constructors in name order as rows (argument mask, target index,
     argument indices ascending, name), and `uses[agent]` maps each type
-    index to the rows that take it, in row order. `holdings[agent]` is
-    the agent's held constructor names and `channel_mask[(sender, receiver)]`
-    the types the channel carries, as a mask. `fired` lists the rows that
-    close a possession mask under one agent's constructors, in the order one
-    sweep after another fires them; `closure` is the union of their targets,
-    memoized per agent and mask. `walk_trace` folds a trace with it, the
-    witness fold builds terms from its rows, and the explorer's search
-    encoding and saturation extend it."""
+    index to the rows that take it, in row order; both are built for an
+    agent when either is first read, so a trace check builds the rows of
+    the agents it folds and no others. `holdings[agent]` is the agent's
+    held constructor names and `channel_mask[(sender, receiver)]` the types
+    the channel carries, as a mask. `fired` lists the rows that close a
+    possession mask under one agent's constructors, in the order one sweep
+    after another fires them; `closure` is the union of their targets,
+    memoized per agent and mask. `walk_trace` folds a trace's deliveries
+    with it, the witness fold builds terms from its rows, and the
+    explorer's search encoding and saturation extend it."""
 
     def __init__(self, arch: Architecture) -> None:
         ts = self.type_system = arch.type_system
@@ -326,24 +343,10 @@ class TypeRules:
         type_idx = self.type_idx = {t: i for i, t in enumerate(self.types)}
         self.width = len(self.types)
         self.holdings = [arch.holdings_of(a) for a in self.agents]
-        self.ctors: list[list[Row]] = []
-        self.uses: list[dict[int, list[int]]] = []
-        made: dict[str, Row] = {}  # agents that hold a constructor share its row
-        for held in self.holdings:
-            rows: list[Row] = []
-            uses: dict[int, list[int]] = {}
-            for name in sorted(held):
-                row = made.get(name)
-                if row is None:
-                    args, target = ts.parts(name)
-                    arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
-                    mask = sum(1 << idx for idx in arg_idxs)
-                    row = made[name] = (mask, self.type_idx[target], arg_idxs, name)
-                for t in row[2]:
-                    uses.setdefault(t, []).append(len(rows))
-                rows.append(row)
-            self.ctors.append(rows)
-            self.uses.append(uses)
+        self.ctors: dict[int, list[Row]] = _Rows()
+        self.uses: dict[int, dict[int, list[int]]] = _Rows()
+        self.ctors._build = self.uses._build = self._build_rows
+        self._made: dict[str, Row] = {}  # agents that hold a constructor share its row
         # The mask of each type set object, one per distinct set
         # (`Architecture.build`), is worked out once. A type outside the type
         # system sets no bit, and a channel with an undeclared end is left
@@ -359,6 +362,22 @@ class TypeRules:
                 mask = masks[id(types)] = sum(1 << type_idx[t] for t in types if t in type_idx)
             self.channel_mask[si, ri] = mask
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
+
+    def _build_rows(self, agent: int) -> None:
+        rows: list[Row] = []
+        uses: dict[int, list[int]] = {}
+        for name in sorted(self.holdings[agent]):
+            row = self._made.get(name)
+            if row is None:
+                args, target = self.type_system.parts(name)
+                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
+                mask = sum(1 << idx for idx in arg_idxs)
+                row = self._made[name] = (mask, self.type_idx[target], arg_idxs, name)
+            for t in row[2]:
+                uses.setdefault(t, []).append(len(rows))
+            rows.append(row)
+        self.ctors[agent] = rows
+        self.uses[agent] = uses
 
     def fired(
         self, agent: int, mask: int, new: int | None = None
@@ -460,6 +479,95 @@ def receive(
     return True
 
 
+class _Possession(Mapping):
+    """`TraceWalk.first`: per agent, the first prefix at which it possesses
+    each type, read only. An agent's table is folded from its delivery log
+    when the agent is first read: its mask starts closed under its held
+    constructors, and each first delivery of a type it lacks sets the bit
+    and closes the mask with `TypeRules.closure`. It compares, iterates and
+    prints as the dict of every agent's table, in `rules` order."""
+
+    __slots__ = ("_rules", "_log", "_folded")
+
+    def __init__(self, rules: TypeRules, log: list[list[tuple[int, int]]]) -> None:
+        self._rules = rules
+        self._log = log  # per agent index: (event index, type index), in order
+        self._folded: dict[AgentId, dict[AtomicType, int]] = {}
+
+    def __getitem__(self, agent: AgentId) -> dict[AtomicType, int]:
+        mine = self._folded.get(agent)
+        if mine is None:
+            mine = self._folded[agent] = self._fold(self._rules.agent_idx[agent])
+        return mine
+
+    def _fold(self, ai: int) -> dict[AtomicType, int]:
+        closure, types = self._rules.closure, self._rules.types
+        mine: dict[AtomicType, int] = {}
+
+        def gain(new: int, prefix: int) -> None:
+            while new:
+                low = new & -new
+                new ^= low
+                mine[types[low.bit_length() - 1]] = prefix
+
+        mask = closure(ai, 0)
+        gain(mask, 0)
+        for i, t in self._log[ai]:
+            if not (mask >> t) & 1:
+                now = closure(ai, mask | 1 << t, t)
+                gain(now & ~mask, i + 1)
+                mask = now
+        return mine
+
+    def __iter__(self) -> Iterator[AgentId]:
+        return iter(self._rules.agents)
+
+    def __len__(self) -> int:
+        return len(self._rules.agents)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _FirstAny(Mapping):
+    """`TraceWalk.first_any`: per type, the first prefix at which some agent
+    possesses it, read only. Every agent is folded on the first read. It
+    compares, iterates and prints as a dict in the order possession was
+    gained: by prefix, then agent, then type index."""
+
+    __slots__ = ("_first", "_table")
+
+    def __init__(self, first: _Possession) -> None:
+        self._first = first
+        self._table: dict[AtomicType, int] | None = None
+
+    def _merged(self) -> dict[AtomicType, int]:
+        if self._table is None:
+            # An agent's table is in (prefix, type index) order, so its
+            # position breaks a tie between two types at one prefix.
+            gains = sorted(
+                (k, ai, n, t)
+                for ai, mine in enumerate(self._first.values())
+                for n, (t, k) in enumerate(mine.items())
+            )
+            self._table = {}
+            for k, _, _, t in gains:
+                self._table.setdefault(t, k)
+        return self._table
+
+    def __getitem__(self, ty: AtomicType) -> int:
+        return self._merged()[ty]
+
+    def __iter__(self) -> Iterator[AtomicType]:
+        return iter(self._merged())
+
+    def __len__(self) -> int:
+        return len(self._merged())
+
+    def __repr__(self) -> str:
+        return repr(self._merged())
+
+
 class TraceWalk(Record):
     """What one forward pass over a trace learns, up to its first invalid
     event (the whole trace when `verdict` is valid).
@@ -469,34 +577,40 @@ class TraceWalk(Record):
     possesses the type (0 for what its held constructors build), and
     `first_any[type]` the first prefix at which some agent does. Possession
     only grows, so these tables give the type-level state at every prefix.
-    The walk builds no witness term; `possession_closure` folds those with
-    `rules`, the table the walk folded with."""
+    The pass folds no possession: `first` folds an agent's first deliveries
+    with `rules`, the table the pass checked with, when the agent is first
+    read, and `first_any` folds every agent when it is first read. Both are
+    read-only mappings. The walk builds no witness term; `possession_closure`
+    folds those with `rules`."""
 
     __slots__ = __match_args__ = ("verdict", "delivered", "first", "first_any", "rules")
     verdict: TraceCheck
     delivered: dict[AgentId, dict[TermExpr, int]]
-    first: dict[AgentId, dict[AtomicType, int]]
-    first_any: dict[AtomicType, int]
+    first: Mapping[AgentId, Mapping[AtomicType, int]]
+    first_any: Mapping[AtomicType, int]
     rules: TypeRules
 
     def __init__(
         self, verdict: TraceCheck, delivered: dict[AgentId, dict[TermExpr, int]],
-        first: dict[AgentId, dict[AtomicType, int]], first_any: dict[AtomicType, int],
+        first: Mapping[AgentId, Mapping[AtomicType, int]], first_any: Mapping[AtomicType, int],
         rules: TypeRules,
     ) -> None:
         self._init(verdict, delivered, first, first_any, rules)
 
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
-    """Check validity, index deliveries and fold type-level possession in
-    one loop over the distinct events, stopping at the first invalid one.
+    """Check validity and index deliveries in one pass over the distinct
+    events, stopping at the first invalid one, and log each receiver's first
+    delivery of each type for the possession fold, which runs per agent when
+    the walk's `first` or `first_any` is read.
 
-    Each agent's possession is a bit mask over `TypeRules`, closed under its
-    constructors when a delivery sets a new bit. Each event object is walked
-    once, at its first index: a repeat passed every check then, its sender
-    can still derive its term since possession only grows, and its receiver
-    already has the term indexed and the type possessed. An equal event that
-    is a different object is walked as usual.
+    Each event object is checked once, at its first index: a repeat passed
+    every check then, its sender can still derive its term since possession
+    only grows, and its receiver already has the term indexed and the type
+    logged. An equal event that is a different object is checked as usual.
+    The pass keys its tables by integers: agent and type indices, and the
+    identities of type and term objects. A sender is shown to derive a term
+    object once, since what it derives only grows along the trace.
 
     Structural breakage (unknown agents, ill-typed terms) raises, since the
     verdict reasons are reserved for the two semantic failures: the channel
@@ -507,26 +621,18 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
 
 def _walk(rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
     """`walk_trace` on a table already built for the architecture."""
-    agents, closure, holdings = rules.agents, rules.closure, rules.holdings
-    type_idx, type_list, channel_mask = rules.type_idx, rules.types, rules.channel_mask
+    agents, holdings, type_idx = rules.agents, rules.holdings, rules.type_idx
+    n = len(agents)
+    channels = [0] * (n * n)  # by sender index * n + receiver index
+    for (si, ri), mask in rules.channel_mask.items():
+        channels[si * n + ri] = mask
     types: dict[TermExpr, TypeExpr] = {}
+    type_at: dict[int, int] = {}  # type index by id of the type object
     # Per agent, by its index in `rules`.
     delivered: list[dict[TermExpr, int]] = [{} for _ in agents]
-    held = [closure(ai, 0) for ai in range(len(agents))]
-    first: list[dict[AtomicType, int]] = [{} for _ in agents]
-    first_any: dict[AtomicType, int] = {}
-
-    def gain(ai: int, new: int, prefix: int) -> None:
-        mine = first[ai]
-        while new:
-            low = new & -new
-            new ^= low
-            t = type_list[low.bit_length() - 1]
-            mine[t] = prefix
-            first_any.setdefault(t, prefix)
-
-    for ai, mask in enumerate(held):
-        gain(ai, mask, 0)
+    derived: list[set[int]] = [set() for _ in agents]  # ids of terms shown derivable
+    got = [0] * n  # the types delivered so far, as a mask
+    log: list[list[tuple[int, int]]] = [[] for _ in agents]
 
     # The first index of each event object: the last write of a key wins.
     ids = list(map(id, events))
@@ -535,21 +641,24 @@ def _walk(rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
     for i in sorted(firsts.values()):
         e = events[i]
         si, ri = _check_event_structure(rules, i, e, types)
-        t = type_idx[e.msg_type]
-        if not (channel_mask.get((si, ri), 0) >> t) & 1:
+        t = type_at.get(id(e.msg_type))
+        if t is None:
+            t = type_at[id(e.msg_type)] = type_idx[e.msg_type]
+        if not (channels[si * n + ri] >> t) & 1:
             verdict = TraceCheck(False, i, CHANNEL)
             break
-        if not _derivable(holdings[si], delivered[si], i, e.term):
-            verdict = TraceCheck(False, i, POSSESSION)
-            break
-        delivered[ri].setdefault(e.term, i)
-        had = held[ri]
-        if not (had >> t) & 1:
-            now = held[ri] = closure(ri, had | 1 << t, t)
-            gain(ri, now & ~had, i + 1)
-    return TraceWalk(
-        verdict, dict(zip(agents, delivered)), dict(zip(agents, first)), first_any, rules
-    )
+        term = e.term
+        if id(term) not in derived[si]:
+            if not _derivable(holdings[si], delivered[si], i, term):
+                verdict = TraceCheck(False, i, POSSESSION)
+                break
+            derived[si].add(id(term))
+        delivered[ri].setdefault(term, i)
+        if not (got[ri] >> t) & 1:
+            got[ri] |= 1 << t
+            log[ri].append((i, t))
+    first = _Possession(rules, log)
+    return TraceWalk(verdict, dict(zip(agents, delivered)), first, _FirstAny(first), rules)
 
 
 def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:

@@ -40,15 +40,15 @@ class Record:
     but no code is generated for them when their module is imported.
 
     Two records are equal when they are of the same class and their fields
-    are equal. The hash is the field tuple's, kept in the `_hash` slot. A
-    constructor sets the fields, slot by slot where records are built in
-    bulk and with `_init` elsewhere, and leaves `_hash` unset for `__hash__`
-    to fill on first use, so a record holding a mapping only fails when
-    hashed. The constructors of the atomic types and of `Con`, whose values
-    key most tables, store the hash at once. The repr names each field.
-    Setting or deleting an attribute raises `FrozenInstanceError`. A pickle
-    or copy rebuilds the record through its constructor, so a kept hash
-    never leaves its process."""
+    are equal. The hash is the field tuple's (`Proof` adds a tag to its
+    fields), kept in the `_hash` slot. A constructor sets the fields, slot
+    by slot where records are built in bulk and with `_init` elsewhere, and
+    leaves `_hash` unset for `__hash__` to fill on first use, so a record
+    holding a mapping only fails when hashed. The constructors of the
+    atomic types and of `Con`, whose values key most tables, store the hash
+    at once. The repr names each field. Setting or deleting an attribute
+    raises `FrozenInstanceError`. A pickle or copy rebuilds the record
+    through its constructor, so a kept hash never leaves its process."""
 
     __slots__ = ("_hash",)
     __match_args__: tuple[str, ...] = ()
@@ -123,7 +123,9 @@ class Proof(Record):
     def __init__(self, holder: str, inner: str) -> None:
         _set(self, "holder", holder)
         _set(self, "inner", inner)
-        _set(self, "_hash", hash((holder, inner)))
+        # The tag keeps `Proof(r, b)` apart from `Certified(r, b)`, which
+        # every v2 type system holds as well, in hashed tables.
+        _set(self, "_hash", hash((holder, inner, "Proof")))
 
 
 class Arrow(Record):

@@ -128,6 +128,59 @@ def test_check_walks_a_repeated_statement_once(monkeypatch, capsys, tmp_path):
     assert calls == list(range(0, 24, 2))
 
 
+def test_check_folds_only_the_agents_its_constraints_name(monkeypatch, capsys):
+    # The witness spec's constraints name Website and Parent; the walk folds
+    # possession for an agent only when the judge reads it, so the other
+    # seven agents are never closed.
+    folded = []
+    close = semantics.TypeRules.closure
+
+    def counted(rules, agent, mask, new=None):
+        if mask == 0:
+            folded.append(rules.agents[agent].name)
+        return close(rules, agent, mask, new)
+
+    monkeypatch.setattr(semantics.TypeRules, "closure", counted)
+    spec, trace = FIXTURES / "coppa_safe_relaxed.parch", FIXTURES / "coppa_witness.trace"
+    assert len(parse_spec(spec.read_text()).architecture.agents) == 9
+    assert main(["check", str(spec), str(trace)]) == 0
+    assert capsys.readouterr().out.endswith("compliant\n")
+    assert sorted(folded) == ["Parent", "Website"]
+
+
+# A creation constraint reads every agent: only Z, which no constraint
+# names, can make a B.
+CREATION_SPEC = """\
+types A, B;
+agent X holds a: A;
+agent Y;
+agent Z holds mk: A -> B;
+channel X -> Y : A;
+channel X -> Z : A;
+constraint Y ni A => B;
+"""
+
+
+@pytest.mark.parametrize(
+    "trace, code, out",
+    [
+        (
+            "X -> Y : a : A;\n",
+            1,
+            "valid trace (1 events)\nviolation: Y ni A => B (prefix 1): "
+            "Y possesses A at prefix 1 but no agent possesses B\n",
+        ),
+        ("X -> Z : a : A;\nX -> Y : a : A;\n", 0, "valid trace (2 events)\ncompliant\n"),
+    ],
+    ids=["no-maker", "maker-first"],
+)
+def test_check_creation_constraint_folds_an_unnamed_agent(capsys, tmp_path, trace, code, out):
+    spec, path = tmp_path / "create.parch", tmp_path / "create.trace"
+    spec.write_text(CREATION_SPEC)
+    path.write_text(trace)
+    assert run(capsys, "check", str(spec), str(path)) == (code, out, "")
+
+
 def test_check_json_payload(capsys, tmp_path):
     trace = tmp_path / "leak.trace"
     trace.write_text("Child -> Website : info : INFO;\n")

@@ -9,7 +9,10 @@ import pytest
 from privarch import (
     AgentId,
     App,
+    Base,
+    Con,
     DslError,
+    Event,
     Grant,
     SpecDocument,
     build_safe_architecture_v1,
@@ -106,3 +109,35 @@ def test_every_spec_a_reader_returns_is_a_valid_architecture(seed):
             except DslError:
                 continue
             assert validate_architecture(read.architecture).passed, text
+
+
+# The printed-form reader takes ASCII names only, as `print_trace` writes
+# them; a trace naming any other agent is read by the token reader.
+BOUNDARY_SPEC = """\
+types A;
+agent X holds a: A;
+agent é;
+agent Y;
+channel X -> é : A;
+channel X -> Y : A;
+"""
+
+
+@pytest.mark.parametrize(
+    "text, receivers, printed",
+    [
+        ("X -> Y : a : A;\n", ["Y"], True),
+        ("X -> é : a : A;\n", ["é"], False),
+        ("X -> Y : a : A;\nX -> é : a : A;\n", ["Y", "é"], False),
+        ("X -> Y :  a : A;\n", ["Y"], False),
+        ("X  -> Y : a : A;\n", ["Y"], False),
+    ],
+    ids=["ascii", "non-ascii", "non-ascii-later", "blank-before-payload", "blank-before-arrow"],
+)
+def test_printed_trace_reader_boundary(text, receivers, printed):
+    arch = parse_spec(BOUNDARY_SPEC).architecture
+    agents = {a.name: a for a in arch.agents}
+    expected = tuple(Event(agents["X"], Con("a"), Base("A"), agents[r]) for r in receivers)
+    read = dsl._read_printed_trace(text, arch)
+    assert read == (expected if printed else None)
+    assert parse_trace(text, arch) == expected
