@@ -220,8 +220,9 @@ def check_trace_compliance(
     violating prefix that `check_neg_create` and `check_neg_possess` find
     by scanning `possession_closure`. The walk folds possession only for
     the agents read here: each constraint's subject, a holder once its
-    subject possesses the trigger, and every agent for a creation
-    constraint.
+    subject possesses the trigger, and, for a creation constraint, the
+    agents in canonical order until one possesses the required type by
+    then.
     """
     return _judge(walk_trace(arch, events), events, constraints)
 
@@ -239,15 +240,17 @@ def _judge(
     for c in constraints:
         match c:
             case NegCreate():
-                t = first.get(c.subject, {}).get(c.trigger)
-                if t is not None and walk.first_any.get(c.required, never) > t:
+                t = first(c.subject).get(c.trigger)
+                if t is not None and all(
+                    first(a).get(c.required, never) > t for a in walk.rules.agents
+                ):
                     neg_violations.append(_create_violation(c, t))
             case NegPossess():
-                t = first.get(c.subject, {}).get(c.trigger)
-                if t is not None and first.get(c.holder, {}).get(c.required, never) > t:
+                t = first(c.subject).get(c.trigger)
+                if t is not None and first(c.holder).get(c.required, never) > t:
                     neg_violations.append(_possess_violation(c, t))
             case Positive():
-                positives[c] = c.goal in first.get(c.subject, {})
+                positives[c] = c.goal in first(c.subject)
             case LocalSend():
                 local_violations.extend(check_local(events, c).violations)
     return TraceComplianceReport(

@@ -28,9 +28,8 @@ It never raises, so it keeps no positions: on any surprise (another
 spelling, a name declared after its use or not at all, a duplicate, a
 failed check) it gives up, and the token reader reads the document from its
 first statement, so every error and its line and column come from there.
-Constraints and options, which the pattern heads (`_FAST_SPEC`,
-`_FAST_EVENT`) do not cover, are shaped by the token reader's grammar in
-both.
+Constraints and options, which the pattern head `_FAST_SPEC` and the
+event split do not cover, are shaped by the token reader's grammar in both.
 
 The token reader splits statements off one at a time, so an error blames
 the first statement that cannot be read. A spec takes two passes: shapes in
@@ -141,10 +140,8 @@ _FAST_SPEC = re.compile(
     rf"[ \t\r\n]*(?:channel ({_AGENT}) -> ({_AGENT}) : {_LIST}|types {_LIST}"
     rf"|agent ({_AGENT})(?: holds {_LIST}|\Z))"
 )
-# The head of a printed event. `_read_printed_trace` splits a statement at
-# its first ` -> ` and ` : ` instead, and looks both ends up among the names
-# `_AGENT_NAME` takes, so it reads the statements this pattern takes.
-_FAST_EVENT = re.compile(rf"[ \t\r\n]*({_AGENT}) -> ({_AGENT}) : {_LIST}")
+# `_read_printed_trace` splits an event at its first ` -> ` and ` : ` and
+# looks both ends up among the names this pattern takes.
 _AGENT_NAME = re.compile(_AGENT)
 # One compact atomic type (`NAME`, `C[X](A)`, `P[X](A)`) or constructor name.
 _ATOM = re.compile(rf"([CP])\[({_AGENT})\]\(({_AGENT})\)|{_AGENT}")

@@ -151,14 +151,18 @@ class _Encoding(TypeRules):
             self.gate_sets[fkey] = self.gate_sets.get(fkey, 0) | (1 << gi)
             self.forward_sends.append(fkey)
 
-        # Channel rows, by sender then receiver index (canonical order), carry
-        # masks of the types whose sends are gated or discharge a gate, so the
-        # hot loop can skip the dict lookups; they come from the ends' gates.
+        # Send rows, one per channel that carries a type, by sender then
+        # receiver index (canonical order), carry masks of the types whose
+        # sends are gated or discharge a gate, so the hot loop can skip the
+        # dict lookups; they come from the ends' gates.
         required = self._pair_masks(self.gate_required)
         discharges = self._pair_masks(self.gate_sets)
-        self.channels: list[tuple[int, int, int, int, int]] = [
+        n = len(self.agents)
+        self.sends: list[tuple[int, int, int, int, int]] = [
             (si, ri, mask, mask & required.get((si, ri), 0), mask & discharges.get((si, ri), 0))
-            for (si, ri), mask in sorted(self.channel_mask.items())
+            for si in range(n)
+            for ri in range(n)
+            if (mask := self.channels[si * n + ri])
         ]
 
     @staticmethod
@@ -267,7 +271,7 @@ def _saturate(enc: _Encoding) -> _Saturation:
         # Channels are visited in canonical order, so derivation tie-breaks
         # are deterministic and prefer original-agent senders. Only types new
         # to the receiver or discharging a gate can change anything.
-        for s, r, chan_mask, req_mask, sets_mask in enc.channels:
+        for s, r, chan_mask, req_mask, sets_mask in enc.sends:
             m = held[s] & chan_mask & (~fields[r] | sets_mask)
             while m:
                 bit = m & -m
@@ -455,7 +459,7 @@ def explore(
 
     pending = [row for row in rows if row[2] not in found]
     frontier = [root]
-    channels = enc.channels
+    sends = enc.sends
     closure_memos = enc._closure_memo
     closure = enc.closure
     gate_required = enc.gate_required
@@ -468,7 +472,7 @@ def explore(
         for state in frontier:
             fields = [(state >> (i * width)) & type_mask for i in range(n_agents)]
             gate_bits = state >> gate_shift
-            for s, r, chan_mask, req_mask, sets_mask in channels:
+            for s, r, chan_mask, req_mask, sets_mask in sends:
                 # A send grows the receiver's knowledge or discharges gates;
                 # a discharge that changes nothing finds its state visited.
                 fr = fields[r]

@@ -7,23 +7,24 @@ constructor to derivable arguments. Possession is monotone along a trace.
 
 One validity pass over a trace checks each distinct event object once, at
 its first index, indexes its delivery, and logs each receiver's first
-delivery of each type. Possession is folded from that log on demand, one
-agent at a time when a reader first asks for it: the agent's types as a
-bit mask, closed under its constructors at each new bit, recording the
-first prefix at which it possesses each type. So a constraint check folds
-only the agents its constraints read; the state at every prefix comes from
-those tables. Witness terms, one canonical term per possessed (agent,
-type), come from a separate fold that only `possession_closure` and the
-explorer's trace reconstruction run. Both folds, and the explorer, read one
-table of constructor rows and channel masks, `TypeRules`, which builds an
-agent's rows when they are first read.
+delivery of each type. `TraceWalk.first(agent)` folds an agent's log the
+first time the agent is read: its types as a bit mask, closed under its
+constructors at each new bit, recording the first prefix at which it
+possesses each type. So a constraint check folds only the agents its
+constraints read, and a creation constraint reads agents only until one
+holds the required type; the state at every prefix comes from those
+tables. Witness terms, one canonical term per possessed (agent, type), come
+from a separate fold that only `possession_closure` and the explorer's
+trace reconstruction run. Both folds, and the explorer, read one table of
+constructor rows and channel masks, `TypeRules`, which builds an agent's
+rows when they are first read.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .terms import (
@@ -326,13 +327,14 @@ class TypeRules:
     index to the rows that take it, in row order; both are built for an
     agent when either is first read, so a trace check builds the rows of
     the agents it folds and no others. `holdings[agent]` is the agent's
-    held constructor names and `channel_mask[(sender, receiver)]` the types
-    the channel carries, as a mask. `fired` lists the rows that close a
-    possession mask under one agent's constructors, in the order one sweep
-    after another fires them; `closure` is the union of their targets,
-    memoized per agent and mask. `walk_trace` folds a trace's deliveries
-    with it, the witness fold builds terms from its rows, and the
-    explorer's search encoding and saturation extend it."""
+    held constructor names and `channels[sender * n + receiver]`, for n
+    agents, the types the channel carries, as a mask (0 for no channel).
+    `fired` lists the rows that close a possession mask under one agent's
+    constructors, in the order one sweep after another fires them;
+    `closure` is the union of their targets, memoized per agent and mask.
+    `walk_trace` folds a trace's deliveries with it, the witness fold
+    builds terms from its rows, and the explorer's search encoding and
+    saturation extend it."""
 
     def __init__(self, arch: Architecture) -> None:
         ts = self.type_system = arch.type_system
@@ -352,7 +354,8 @@ class TypeRules:
         # system sets no bit, and a channel with an undeclared end is left
         # out: no valid event can use either.
         masks: dict[int, int] = {}
-        self.channel_mask: dict[tuple[int, int], int] = {}
+        n = len(self.agents)
+        self.channels = [0] * (n * n)
         for (s, r), types in arch.channels.items():
             si, ri = agent_idx.get(s), agent_idx.get(r)
             if si is None or ri is None:
@@ -360,7 +363,7 @@ class TypeRules:
             mask = masks.get(id(types))
             if mask is None:
                 mask = masks[id(types)] = sum(1 << type_idx[t] for t in types if t in type_idx)
-            self.channel_mask[si, ri] = mask
+            self.channels[si * n + ri] = mask
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
 
     def _build_rows(self, agent: int) -> None:
@@ -479,93 +482,29 @@ def receive(
     return True
 
 
-class _Possession(Mapping):
-    """`TraceWalk.first`: per agent, the first prefix at which it possesses
-    each type, read only. An agent's table is folded from its delivery log
-    when the agent is first read: its mask starts closed under its held
-    constructors, and each first delivery of a type it lacks sets the bit
-    and closes the mask with `TypeRules.closure`. It compares, iterates and
-    prints as the dict of every agent's table, in `rules` order."""
+def _fold(rules: TypeRules, ai: int, log: list[tuple[int, int]]) -> dict[AtomicType, int]:
+    """The first prefix at which agent `ai` possesses each type, by prefix
+    then type index, from its first deliveries `log` as (event index, type
+    index). The mask starts closed under the agent's held constructors, and
+    each first delivery of a type it lacks sets the bit and closes the mask
+    with `TypeRules.closure`."""
+    closure, types = rules.closure, rules.types
+    mine: dict[AtomicType, int] = {}
 
-    __slots__ = ("_rules", "_log", "_folded")
+    def gain(new: int, prefix: int) -> None:
+        while new:
+            low = new & -new
+            new ^= low
+            mine[types[low.bit_length() - 1]] = prefix
 
-    def __init__(self, rules: TypeRules, log: list[list[tuple[int, int]]]) -> None:
-        self._rules = rules
-        self._log = log  # per agent index: (event index, type index), in order
-        self._folded: dict[AgentId, dict[AtomicType, int]] = {}
-
-    def __getitem__(self, agent: AgentId) -> dict[AtomicType, int]:
-        mine = self._folded.get(agent)
-        if mine is None:
-            mine = self._folded[agent] = self._fold(self._rules.agent_idx[agent])
-        return mine
-
-    def _fold(self, ai: int) -> dict[AtomicType, int]:
-        closure, types = self._rules.closure, self._rules.types
-        mine: dict[AtomicType, int] = {}
-
-        def gain(new: int, prefix: int) -> None:
-            while new:
-                low = new & -new
-                new ^= low
-                mine[types[low.bit_length() - 1]] = prefix
-
-        mask = closure(ai, 0)
-        gain(mask, 0)
-        for i, t in self._log[ai]:
-            if not (mask >> t) & 1:
-                now = closure(ai, mask | 1 << t, t)
-                gain(now & ~mask, i + 1)
-                mask = now
-        return mine
-
-    def __iter__(self) -> Iterator[AgentId]:
-        return iter(self._rules.agents)
-
-    def __len__(self) -> int:
-        return len(self._rules.agents)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-class _FirstAny(Mapping):
-    """`TraceWalk.first_any`: per type, the first prefix at which some agent
-    possesses it, read only. Every agent is folded on the first read. It
-    compares, iterates and prints as a dict in the order possession was
-    gained: by prefix, then agent, then type index."""
-
-    __slots__ = ("_first", "_table")
-
-    def __init__(self, first: _Possession) -> None:
-        self._first = first
-        self._table: dict[AtomicType, int] | None = None
-
-    def _merged(self) -> dict[AtomicType, int]:
-        if self._table is None:
-            # An agent's table is in (prefix, type index) order, so its
-            # position breaks a tie between two types at one prefix.
-            gains = sorted(
-                (k, ai, n, t)
-                for ai, mine in enumerate(self._first.values())
-                for n, (t, k) in enumerate(mine.items())
-            )
-            self._table = {}
-            for k, _, _, t in gains:
-                self._table.setdefault(t, k)
-        return self._table
-
-    def __getitem__(self, ty: AtomicType) -> int:
-        return self._merged()[ty]
-
-    def __iter__(self) -> Iterator[AtomicType]:
-        return iter(self._merged())
-
-    def __len__(self) -> int:
-        return len(self._merged())
-
-    def __repr__(self) -> str:
-        return repr(self._merged())
+    mask = closure(ai, 0)
+    gain(mask, 0)
+    for i, t in log:
+        if not (mask >> t) & 1:
+            now = closure(ai, mask | 1 << t, t)
+            gain(now & ~mask, i + 1)
+            mask = now
+    return mine
 
 
 class TraceWalk(Record):
@@ -573,36 +512,45 @@ class TraceWalk(Record):
     event (the whole trace when `verdict` is valid).
 
     `delivered` maps, per agent, each term sent to it to its first delivery
-    index. `first[agent][type]` is the first prefix at which the agent
-    possesses the type (0 for what its held constructors build), and
-    `first_any[type]` the first prefix at which some agent does. Possession
-    only grows, so these tables give the type-level state at every prefix.
-    The pass folds no possession: `first` folds an agent's first deliveries
-    with `rules`, the table the pass checked with, when the agent is first
-    read, and `first_any` folds every agent when it is first read. Both are
-    read-only mappings. The walk builds no witness term; `possession_closure`
-    folds those with `rules`."""
+    index, and `log[agent index]` lists the agent's first delivery of each
+    type as (event index, type index), in order. The pass folds no
+    possession: `first(agent)` folds the agent's log with `rules`, the table
+    the pass checked with, when the agent is first read, and keeps the
+    table in the `_folded` slot. Possession only grows, so these tables give
+    the type-level state at every prefix. The walk builds no witness term;
+    `possession_closure` folds those with `rules`."""
 
-    __slots__ = __match_args__ = ("verdict", "delivered", "first", "first_any", "rules")
+    __match_args__ = ("verdict", "delivered", "log", "rules")
+    __slots__ = (*__match_args__, "_folded")
     verdict: TraceCheck
     delivered: dict[AgentId, dict[TermExpr, int]]
-    first: Mapping[AgentId, Mapping[AtomicType, int]]
-    first_any: Mapping[AtomicType, int]
+    log: list[list[tuple[int, int]]]
     rules: TypeRules
+    _folded: dict[AgentId, dict[AtomicType, int]]
 
     def __init__(
         self, verdict: TraceCheck, delivered: dict[AgentId, dict[TermExpr, int]],
-        first: Mapping[AgentId, Mapping[AtomicType, int]], first_any: Mapping[AtomicType, int],
-        rules: TypeRules,
+        log: list[list[tuple[int, int]]], rules: TypeRules,
     ) -> None:
-        self._init(verdict, delivered, first, first_any, rules)
+        self._init(verdict, delivered, log, rules)
+        object.__setattr__(self, "_folded", {})
+
+    def first(self, agent: AgentId) -> dict[AtomicType, int]:
+        """The first prefix at which `agent` possesses each type, by prefix
+        then type index: 0 for what its held constructors build. An agent
+        outside the architecture possesses nothing."""
+        mine = self._folded.get(agent)
+        if mine is None:
+            ai = self.rules.agent_idx.get(agent)
+            mine = self._folded[agent] = {} if ai is None else _fold(self.rules, ai, self.log[ai])
+        return mine
 
 
 def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
     """Check validity and index deliveries in one pass over the distinct
     events, stopping at the first invalid one, and log each receiver's first
     delivery of each type for the possession fold, which runs per agent when
-    the walk's `first` or `first_any` is read.
+    `TraceWalk.first` first reads it.
 
     Each event object is checked once, at its first index: a repeat passed
     every check then, its sender can still derive its term since possession
@@ -622,10 +570,7 @@ def walk_trace(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
 def _walk(rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
     """`walk_trace` on a table already built for the architecture."""
     agents, holdings, type_idx = rules.agents, rules.holdings, rules.type_idx
-    n = len(agents)
-    channels = [0] * (n * n)  # by sender index * n + receiver index
-    for (si, ri), mask in rules.channel_mask.items():
-        channels[si * n + ri] = mask
+    channels, n = rules.channels, len(agents)
     types: dict[TermExpr, TypeExpr] = {}
     type_at: dict[int, int] = {}  # type index by id of the type object
     # Per agent, by its index in `rules`.
@@ -657,8 +602,7 @@ def _walk(rules: TypeRules, events: Sequence[Event]) -> TraceWalk:
         if not (got[ri] >> t) & 1:
             got[ri] |= 1 << t
             log[ri].append((i, t))
-    first = _Possession(rules, log)
-    return TraceWalk(verdict, dict(zip(agents, delivered)), first, _FirstAny(first), rules)
+    return TraceWalk(verdict, dict(zip(agents, delivered)), log, rules)
 
 
 def _valid_walk(arch: Architecture, events: Sequence[Event]) -> TraceWalk:
@@ -698,4 +642,5 @@ def possession_closure(arch: Architecture, events: Sequence[Event]) -> list[Know
             receive(walk.rules, mine, e)
         return mine
 
-    return [KnowledgeState(walk.first, owned, i) for i in range(len(trace) + 1)]
+    first = {a: walk.first(a) for a in walk.rules.agents}
+    return [KnowledgeState(first, owned, i) for i in range(len(trace) + 1)]

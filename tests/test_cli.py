@@ -181,6 +181,31 @@ def test_check_creation_constraint_folds_an_unnamed_agent(capsys, tmp_path, trac
     assert run(capsys, "check", str(spec), str(path)) == (code, out, "")
 
 
+def test_check_creation_constraint_stops_at_the_first_holder(monkeypatch, capsys, tmp_path):
+    # The creation form reads agents in canonical order until one holds the
+    # required type by the trigger's prefix: H holds B from the start, so
+    # neither X nor Z is ever closed.
+    folded = []
+    close = semantics.TypeRules.closure
+
+    def counted(rules, agent, mask, new=None):
+        if mask == 0:
+            folded.append(rules.agents[agent].name)
+        return close(rules, agent, mask, new)
+
+    monkeypatch.setattr(semantics.TypeRules, "closure", counted)
+    spec, path = tmp_path / "create.parch", tmp_path / "create.trace"
+    spec.write_text(
+        "types A, B;\nagent H holds b: B;\nagent X holds a: A;\nagent Y;\n"
+        "agent Z holds mk: A -> B;\nchannel X -> Y : A;\nconstraint Y ni A => B;\n"
+    )
+    path.write_text("X -> Y : a : A;\n")
+    assert run(capsys, "check", str(spec), str(path)) == (
+        0, "valid trace (1 events)\ncompliant\n", ""
+    )
+    assert folded == ["Y", "H"]
+
+
 def test_check_json_payload(capsys, tmp_path):
     trace = tmp_path / "leak.trace"
     trace.write_text("Child -> Website : info : INFO;\n")

@@ -162,29 +162,21 @@ def test_closure_states_match_a_fold_that_stores_every_prefix(seed):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_walk_tables_read_as_dicts_in_the_order_possession_is_gained(seed):
-    # `first` and `first_any` fold on demand, yet read as the dicts of a
-    # fold over every prefix: agents in canonical order, each agent's types
-    # by prefix then type index, and `first_any` by prefix, agent, type.
+    # `first(agent)` folds on demand, yet reads as the table of a fold over
+    # every prefix: each agent's types by prefix, then type index.
     rng = random.Random(seed)
     arch = mk_document(rng).architecture
     events = mk_valid_trace(rng, arch, max_len=rng.choice((4, 12)))
     rules = TypeRules(arch)
     first = {a: {} for a in rules.agents}
-    first_any = {}
     for k, ref in enumerate(reference_possession_closure(arch, events)):
         for a in rules.agents:
             for t in sorted(ref.types_of(a), key=rules.type_idx.__getitem__):
                 first[a].setdefault(t, k)
-                first_any.setdefault(t, k)
     walk = walk_trace(arch, events)
-    assert [(a, list(m.items())) for a, m in walk.first.items()] == [
+    assert [(a, list(walk.first(a).items())) for a in rules.agents] == [
         (a, list(m.items())) for a, m in first.items()
     ]
-    assert list(walk.first_any.items()) == list(first_any.items())
-    assert walk.first == first and walk.first_any == first_any
-    assert (repr(walk.first), repr(walk.first_any)) == (repr(first), repr(first_any))
-    with pytest.raises(TypeError):
-        walk.first[rules.agents[0]] = {}
 
 
 def test_an_agent_outside_the_architecture_possesses_nothing():

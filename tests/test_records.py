@@ -86,8 +86,8 @@ RECORDS = [
     (Decomposition, ("computer", "head", "args", "delivery_chain"), (CHILD, "info", (), (0, 2))),
     (
         TraceWalk,
-        ("verdict", "delivered", "first", "first_any", "rules"),
-        (TraceCheck(True), {PARENT: {Con("info"): 0}}, {PARENT: {INFO: 1}}, {INFO: 0}, "rules"),
+        ("verdict", "delivered", "log", "rules"),
+        (TraceCheck(True), {PARENT: {Con("info"): 0}}, [[], [(0, 0)]], "rules"),
     ),
     (NegCreate, ("subject", "trigger", "required"), (CHILD, INFO, CONSENT)),
     (NegPossess, ("subject", "trigger", "holder", "required"), (CHILD, INFO, PARENT, CONSENT)),

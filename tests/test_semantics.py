@@ -650,8 +650,9 @@ def test_a_walk_learns_the_same_from_object_fresh_copies():
         assert not any(a is b for a, b in zip(events, fresh))
         walk, fresh_walk = walk_trace(arch, events), walk_trace(arch, fresh)
         assert walk.verdict == fresh_walk.verdict
-        assert walk.first == fresh_walk.first
-        assert walk.first_any == fresh_walk.first_any
+        assert walk.log == fresh_walk.log
+        for agent in walk.rules.agents:
+            assert walk.first(agent) == fresh_walk.first(agent)
         assert walk.delivered == fresh_walk.delivered
         invalid += not walk.verdict.valid
         repeats += len({id(e) for e in events}) < len(events)
