@@ -9,7 +9,7 @@ prefixes "I:" and "O:" which cannot collide with user agent names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .terms import (
     AtomicType,
@@ -93,16 +93,10 @@ class Violation(Record):
     subject: tuple[str, ...]
     message: str
 
-    def __init__(self, code: str, subject: tuple[str, ...], message: str) -> None:
-        self._init(code, subject, message)
-
 
 class VerdictReport(Record):
     __slots__ = __match_args__ = ("violations",)
     violations: tuple[Violation, ...]
-
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
-        self._init(violations)
 
     @property
     def passed(self) -> bool:
@@ -130,15 +124,9 @@ class Architecture(Record):
     channels: Mapping[tuple[AgentId, AgentId], frozenset[AtomicType]]
     _by_name: Mapping[str, AgentId]
 
-    def __init__(
-        self,
-        type_system: TypeSystem,
-        agents: frozenset[AgentId],
-        holdings: Mapping[AgentId, frozenset[str]],
-        channels: Mapping[tuple[AgentId, AgentId], frozenset[AtomicType]],
-    ) -> None:
-        self._init(type_system, agents, holdings, channels)
-        object.__setattr__(self, "_by_name", {a.name: a for a in agents})
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_by_name", {a.name: a for a in self.agents})
 
     @staticmethod
     def build(

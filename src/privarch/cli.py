@@ -207,13 +207,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_algorithm(args: argparse.Namespace, doc: SpecDocument, parser) -> int:
+def _infer_algorithm(args: argparse.Namespace, doc: SpecDocument) -> int:
     if args.algorithm:
         return args.algorithm
     has_create = any(isinstance(c, NegCreate) for c in doc.constraints)
     has_possess = any(isinstance(c, NegPossess) for c in doc.constraints)
     if has_create and has_possess:
-        parser.error("constraints mix both negative forms; pass --algorithm")
+        raise ConstraintError("constraints mix both negative forms; pass --algorithm")
     if has_create:
         return 1
     if has_possess:
@@ -224,7 +224,7 @@ def _infer_algorithm(args: argparse.Namespace, doc: SpecDocument, parser) -> int
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_spec(args.spec)
     arch = doc.architecture
-    algorithm = _infer_algorithm(args, doc, args.parser)
+    algorithm = _infer_algorithm(args, doc)
     partition = _partition_for(args, arch)
     verify = verify_partition_v1 if algorithm == 1 else verify_partition_v2
     report = verify(arch, partition, doc.constraints)
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algorithm", type=int, choices=(1, 2))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explore", help="bounded search for violations and witnesses")
     p.add_argument("spec")

@@ -10,7 +10,7 @@ same-term send having already gone to a designated receiver.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .semantics import Event, KnowledgeState, TraceCheck, TraceWalk, walk_trace
@@ -30,9 +30,6 @@ class NegCreate(Record):
     trigger: AtomicType
     required: AtomicType
 
-    def __init__(self, subject: AgentId, trigger: AtomicType, required: AtomicType) -> None:
-        self._init(subject, trigger, required)
-
     def __str__(self) -> str:
         return (
             f"{self.subject.name} ni {type_name(self.trigger)} => {type_name(self.required)}"
@@ -46,11 +43,9 @@ class NegPossess(Record):
     holder: AgentId
     required: AtomicType
 
-    def __init__(
-        self, subject: AgentId, trigger: AtomicType, holder: AgentId, required: AtomicType
-    ) -> None:
-        self._init(subject, trigger, holder, required)
-        if subject == holder and trigger == required:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        if self.subject == self.holder and self.trigger == self.required:
             raise ConstraintError(f"trivial constraint: {self}")
 
     def __str__(self) -> str:
@@ -64,9 +59,6 @@ class Positive(Record):
     __slots__ = __match_args__ = ("subject", "goal")
     subject: AgentId
     goal: AtomicType
-
-    def __init__(self, subject: AgentId, goal: AtomicType) -> None:
-        self._init(subject, goal)
 
     def __str__(self) -> str:
         return f"pos({self.subject.name}, {type_name(self.goal)})"
@@ -84,12 +76,6 @@ class LocalSend(Record):
     gate_receiver: AgentId
     must_prev_receiver: AgentId
 
-    def __init__(
-        self, gate_sender: AgentId, gate_type: AtomicType, gate_receiver: AgentId,
-        must_prev_receiver: AgentId,
-    ) -> None:
-        self._init(gate_sender, gate_type, gate_receiver, must_prev_receiver)
-
     def __str__(self) -> str:
         return (
             f"local {self.gate_sender.name} -> {self.gate_receiver.name} : "
@@ -104,11 +90,6 @@ class ComplianceVerdict(Record):
     __slots__ = __match_args__ = ("compliant", "violations")
     compliant: bool
     violations: tuple[tuple[Constraint, int, str], ...]
-
-    def __init__(
-        self, compliant: bool, violations: tuple[tuple[Constraint, int, str], ...]
-    ) -> None:
-        self._init(compliant, violations)
 
 
 def _ok() -> ComplianceVerdict:
@@ -194,12 +175,6 @@ class TraceComplianceReport(Record):
     negatives: ComplianceVerdict
     local_gates: ComplianceVerdict
     positives: Mapping[Positive, bool]
-
-    def __init__(
-        self, validity: TraceCheck, negatives: ComplianceVerdict,
-        local_gates: ComplianceVerdict, positives: Mapping[Positive, bool],
-    ) -> None:
-        self._init(validity, negatives, local_gates, positives)
 
     @property
     def compliant(self) -> bool:

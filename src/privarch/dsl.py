@@ -157,10 +157,10 @@ def _bad_offset(tok: str) -> int:
     return -1 if tok in _PUNCT or ch.isalpha() or ch == "_" or ch.isdecimal() else k
 
 
-def tokenize(text: str, start: int = 0, stop: int | None = None) -> list[str]:
-    """The token texts of `text[start:stop]`, in order. Raises ParseError at
-    the first character that starts no token."""
-    ts = _Stream(text, start, stop)
+def tokenize(text: str) -> list[str]:
+    """The token texts of `text`, in order. Raises ParseError at the first
+    character that starts no token."""
+    ts = _Stream(text)
     ts.rest()
     return ts.tokens
 
@@ -348,26 +348,53 @@ def _parse_type(ts: _Stream) -> tuple[AtomicType, int]:
     return Base(name), head
 
 
-def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
-    tokens = ts.tokens
-    head = ts.expect_kind(IDENT)
-    name = tokens[head]
-    while ts.accept("["):
-        parts = [tokens[ts.expect_kind(IDENT)]]
-        while ts.accept(","):
-            parts.append(tokens[ts.expect_kind(IDENT)])
-        ts.expect("]")
+class _Expected(Exception):
+    """Token `args[1]` of a term is not the `args[0]` its grammar expects."""
+
+
+def _ctor_name(tokens: list[str], i: int) -> tuple[str, int]:
+    """Read one constructor name, `m` or `m[X,A][B]`, as one token or as the
+    tokens of its pieces, from `tokens[i]` on, and return it with the index
+    after it."""
+    n = len(tokens)
+    if i == n or _kind(tokens[i]) != IDENT:
+        raise _Expected(IDENT, i)
+    name = tokens[i]
+    i += 1
+    while i < n and tokens[i] == "[":
+        parts = []
+        while True:
+            i += 1
+            if i == n or _kind(tokens[i]) != IDENT:
+                raise _Expected(IDENT, i)
+            parts.append(tokens[i])
+            i += 1
+            if i == n or tokens[i] != ",":
+                break
+        if i == n or tokens[i] != "]":
+            raise _Expected("']'", i)
+        i += 1
         name += "[" + ",".join(parts) + "]"
+    return name, i
+
+
+def _parse_ctor_name(ts: _Stream) -> tuple[str, int]:
+    """The constructor name at the statement's next token, with the index of
+    that token. A stray character among or just after the name's tokens is
+    raised by `_fail` or by the statement's next read, ahead of any grammar
+    error after it."""
+    head = ts.pos
+    try:
+        name, ts.pos = _ctor_name(ts.tokens, head)
+    except _Expected as exc:
+        expected, ts.pos = exc.args
+        raise ts._fail(f"expected {expected}") from None
     return name, head
 
 
 # A table of the terms one reader has built: each constructor by its name and
 # each application by the ids of its two parts, which the table keeps alive.
 _Shared = dict[object, TermExpr]
-
-
-class _Expected(Exception):
-    """Token `args[1]` of a term is not the `args[0]` its grammar expects."""
 
 
 def _parse_term(tokens: list[str], i: int, shared: _Shared) -> tuple[TermExpr, int]:
@@ -379,24 +406,7 @@ def _parse_term(tokens: list[str], i: int, shared: _Shared) -> tuple[TermExpr, i
     n = len(tokens)
     open_apps: list[TermExpr] = []  # innermost last
     while True:
-        if i == n or _kind(tokens[i]) != IDENT:
-            raise _Expected(IDENT, i)
-        name = tokens[i]
-        i += 1
-        while i < n and tokens[i] == "[":
-            parts = []
-            while True:
-                i += 1
-                if i == n or _kind(tokens[i]) != IDENT:
-                    raise _Expected(IDENT, i)
-                parts.append(tokens[i])
-                i += 1
-                if i == n or tokens[i] != ",":
-                    break
-            if i == n or tokens[i] != "]":
-                raise _Expected("']'", i)
-            i += 1
-            name += "[" + ",".join(parts) + "]"
+        name, i = _ctor_name(tokens, i)
         term = shared.get(name)
         if term is None:
             term = shared[name] = Con(name)
@@ -472,12 +482,7 @@ class SpecDocument(Record):
     architecture: Architecture
     constraints: tuple[Constraint, ...]
     options: SynthesisConfig
-
-    def __init__(
-        self, architecture: Architecture, constraints: tuple[Constraint, ...],
-        options: SynthesisConfig = SynthesisConfig(),
-    ) -> None:
-        self._init(architecture, constraints, options)
+    _defaults = (SynthesisConfig(),)
 
     @property
     def type_system(self) -> TypeSystem:

@@ -98,15 +98,6 @@ class SearchOutcome(Record):
     depth: int
     budget: int
 
-    def __init__(
-        self, counterexamples: tuple[tuple[Constraint, Trace], ...],
-        witnesses: tuple[tuple[Positive, Trace], ...], missing_witnesses: tuple[Positive, ...],
-        exhausted: bool, states_visited: int, depth: int, budget: int,
-    ) -> None:
-        self._init(
-            counterexamples, witnesses, missing_witnesses, exhausted, states_visited, depth, budget
-        )
-
     @property
     def safe(self) -> bool:
         return not self.counterexamples
@@ -240,12 +231,6 @@ class _Saturation(Record):
     __slots__ = __match_args__ = ("derivation", "forward_round")
     derivation: dict[tuple[int, int], tuple]
     forward_round: dict[tuple[int, int, int], int]
-
-    def __init__(
-        self, derivation: dict[tuple[int, int], tuple],
-        forward_round: dict[tuple[int, int, int], int],
-    ) -> None:
-        self._init(derivation, forward_round)
 
 
 def _saturate(enc: _Encoding) -> _Saturation:

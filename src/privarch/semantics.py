@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .architecture import Architecture, AgentId
 from .terms import (
@@ -114,9 +114,7 @@ class TraceCheck(Record):
     valid: bool
     index: int | None
     reason: str | None
-
-    def __init__(self, valid: bool, index: int | None = None, reason: str | None = None) -> None:
-        self._init(valid, index, reason)
+    _defaults = (None, None)
 
     def __str__(self) -> str:
         if self.valid:
@@ -209,12 +207,6 @@ class Decomposition(Record):
     args: tuple[TermExpr, ...]
     delivery_chain: tuple[int, ...]
 
-    def __init__(
-        self, computer: AgentId, head: str, args: tuple[TermExpr, ...],
-        delivery_chain: tuple[int, ...],
-    ) -> None:
-        self._init(computer, head, args, delivery_chain)
-
 
 def generation_decompose(
     arch: Architecture, events: Sequence[Event], agent: AgentId, term: TermExpr
@@ -305,30 +297,17 @@ class KnowledgeState:
 Row = tuple[int, int, tuple[int, ...], str]  # one constructor row of TypeRules
 
 
-class _Rows(dict):
-    """`TypeRules.ctors` or `TypeRules.uses`: a dict by agent index whose
-    entry for an agent is built, with the other table's, on its first read."""
-
-    __slots__ = ("_build",)
-
-    def __missing__(self, agent: int):
-        self._build(agent)
-        return self[agent]
-
-
 class TypeRules:
     """The one table of an architecture's constructor rules, as bit masks.
 
     Agents are in canonical order (originals before interfaces), indexed by
     agent in `agent_idx` and by name in `name_idx`, and atomic types are bit
-    positions in `type_sort_key` order. `ctors[agent]` holds the agent's
-    constructors in name order as rows (argument mask, target index,
-    argument indices ascending, name), and `uses[agent]` maps each type
-    index to the rows that take it, in row order; both are built for an
-    agent when either is first read, so a trace check builds the rows of
-    the agents it folds and no others. `holdings[agent]` is the agent's
-    held constructor names and `channels[sender * n + receiver]`, for n
-    agents, the types the channel carries, as a mask (0 for no channel).
+    positions in `type_sort_key` order. `rows(agent)` gives the agent's
+    constructor rows and the rows that take each type, built on the agent's
+    first read, so a trace check builds the rows of the agents it folds and
+    no others. `holdings[agent]` is the agent's held constructor names and
+    `channels[sender * n + receiver]`, for n agents, the types the channel
+    carries, as a mask (0 for no channel).
     `fired` lists the rows that close a possession mask under one agent's
     constructors, in the order one sweep after another fires them;
     `closure` is the union of their targets, memoized per agent and mask.
@@ -345,9 +324,7 @@ class TypeRules:
         type_idx = self.type_idx = {t: i for i, t in enumerate(self.types)}
         self.width = len(self.types)
         self.holdings = [arch.holdings_of(a) for a in self.agents]
-        self.ctors: dict[int, list[Row]] = _Rows()
-        self.uses: dict[int, dict[int, list[int]]] = _Rows()
-        self.ctors._build = self.uses._build = self._build_rows
+        self._rows: list[tuple[list[Row], dict[int, list[int]]] | None] = [None] * len(self.agents)
         self._made: dict[str, Row] = {}  # agents that hold a constructor share its row
         # The mask of each type set object, one per distinct set
         # (`Architecture.build`), is worked out once. A type outside the type
@@ -366,21 +343,26 @@ class TypeRules:
             self.channels[si * n + ri] = mask
         self._closure_memo: list[dict[int, int]] = [{} for _ in self.agents]
 
-    def _build_rows(self, agent: int) -> None:
-        rows: list[Row] = []
-        uses: dict[int, list[int]] = {}
-        for name in sorted(self.holdings[agent]):
-            row = self._made.get(name)
-            if row is None:
-                args, target = self.type_system.parts(name)
-                arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
-                mask = sum(1 << idx for idx in arg_idxs)
-                row = self._made[name] = (mask, self.type_idx[target], arg_idxs, name)
-            for t in row[2]:
-                uses.setdefault(t, []).append(len(rows))
-            rows.append(row)
-        self.ctors[agent] = rows
-        self.uses[agent] = uses
+    def rows(self, agent: int) -> tuple[list[Row], dict[int, list[int]]]:
+        """Agent index `agent`'s constructors in name order as rows
+        (argument mask, target index, argument indices ascending, name), and
+        the rows that take each type index, in row order."""
+        out = self._rows[agent]
+        if out is None:
+            rows: list[Row] = []
+            uses: dict[int, list[int]] = {}
+            for name in sorted(self.holdings[agent]):
+                row = self._made.get(name)
+                if row is None:
+                    args, target = self.type_system.parts(name)
+                    arg_idxs = tuple(sorted({self.type_idx[t] for t in args}))
+                    mask = sum(1 << idx for idx in arg_idxs)
+                    row = self._made[name] = (mask, self.type_idx[target], arg_idxs, name)
+                for t in row[2]:
+                    uses.setdefault(t, []).append(len(rows))
+                rows.append(row)
+            out = self._rows[agent] = (rows, uses)
+        return out
 
     def fired(
         self, agent: int, mask: int, new: int | None = None
@@ -394,7 +376,7 @@ class TypeRules:
         j and in the next otherwise, so the rows fire in the sweeps' order.
         The first sweep visits every row, or, when `mask` without the type
         index `new` is closed, only the rows that take `new`."""
-        rows, uses = self.ctors[agent], self.uses[agent]
+        rows, uses = self.rows(agent)
         n = len(rows)
         queue = list(range(n) if new is None else uses.get(new, ()))
         out = []
@@ -426,11 +408,11 @@ def _close_agent(
     Smallest new witness first (by size, then printed form) keeps the choice
     canonical; a candidate is built and printed only to break a size tie.
 
-    `candidates` are row indices into `rules.ctors[agent]` and must hold
+    `candidates` are row indices into `rules.rows(agent)` and must hold
     every row that may have become applicable since the agent was last
     closed; after that, only the rows that take a newly possessed type can
     become applicable."""
-    rows, types, uses = rules.ctors[agent], rules.types, rules.uses[agent]
+    (rows, uses), types = rules.rows(agent), rules.types
     parts = rules.type_system.parts
 
     def applicable(idxs: Iterable[int]) -> list[tuple[int, str, tuple[AtomicType, ...], int]]:
@@ -462,7 +444,7 @@ def seed_witnesses(rules: TypeRules) -> dict[AgentId, dict[AtomicType, TermExpr]
     owned: dict[AgentId, dict[AtomicType, TermExpr]] = {}
     for ai, agent in enumerate(rules.agents):
         mine: dict[AtomicType, TermExpr] = {}
-        _close_agent(rules, ai, mine, range(len(rules.ctors[ai])))
+        _close_agent(rules, ai, mine, range(len(rules.rows(ai)[0])))
         owned[agent] = mine
     return owned
 
@@ -478,7 +460,7 @@ def receive(
         return False
     mine[e.msg_type] = e.term
     ai = rules.agent_idx[e.receiver]
-    _close_agent(rules, ai, mine, rules.uses[ai].get(rules.type_idx[e.msg_type], ()))
+    _close_agent(rules, ai, mine, rules.rows(ai)[1].get(rules.type_idx[e.msg_type], ()))
     return True
 
 
@@ -528,11 +510,8 @@ class TraceWalk(Record):
     rules: TypeRules
     _folded: dict[AgentId, dict[AtomicType, int]]
 
-    def __init__(
-        self, verdict: TraceCheck, delivered: dict[AgentId, dict[TermExpr, int]],
-        log: list[list[tuple[int, int]]], rules: TypeRules,
-    ) -> None:
-        self._init(verdict, delivered, log, rules)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "_folded", {})
 
     def first(self, agent: AgentId) -> dict[AtomicType, int]:

@@ -93,13 +93,7 @@ class SafeArchitecture(Record):
     provenance: Mapping[object, SynthesizedFrom]
     warnings: tuple[str, ...]
     local_constraints: tuple[LocalSend, ...]
-
-    def __init__(
-        self, arch: Architecture, canonical_partition: Partition,
-        provenance: Mapping[object, SynthesizedFrom], warnings: tuple[str, ...] = (),
-        local_constraints: tuple[LocalSend, ...] = (),
-    ) -> None:
-        self._init(arch, canonical_partition, provenance, warnings, local_constraints)
+    _defaults = ((), ())
 
 
 def certifier_name(agent: str, base: str, witnesses: Sequence[str] = ()) -> str:
@@ -371,9 +365,6 @@ class Grant(Record):
     input_agent: AgentId
     msg_type: AtomicType
     output_agent: AgentId
-
-    def __init__(self, input_agent: AgentId, msg_type: AtomicType, output_agent: AgentId) -> None:
-        self._init(input_agent, msg_type, output_agent)
 
 
 def relax_with_local_constraints(

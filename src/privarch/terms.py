@@ -39,29 +39,55 @@ class Record:
     `__match_args__`, each a slot. Records behave as frozen dataclasses do,
     but no code is generated for them when their module is imported.
 
+    The one constructor binds the fields from the field list as a dataclass
+    constructor does: positional arguments in `__match_args__` order, then
+    keywords, then the class's `_defaults` for the trailing fields left out.
+    A missing, extra, repeated or unknown argument raises `TypeError`. A
+    record that checks its fields or derives a slot calls it first; records
+    built in bulk set their slots one by one in their own constructors.
+
     Two records are equal when they are of the same class and their fields
     are equal. The hash is the field tuple's (`Proof` adds a tag to its
-    fields), kept in the `_hash` slot. A constructor sets the fields, slot
-    by slot where records are built in bulk and with `_init` elsewhere, and
-    leaves `_hash` unset for `__hash__` to fill on first use, so a record
-    holding a mapping only fails when hashed. The constructors of the
-    atomic types and of `Con`, whose values key most tables, store the hash
-    at once. The repr names each field. Setting or deleting an attribute
-    raises `FrozenInstanceError`. A pickle or copy rebuilds the record
-    through its constructor, so a kept hash never leaves its process."""
+    fields), kept in the `_hash` slot. A constructor leaves `_hash` unset
+    for `__hash__` to fill on first use, so a record holding a mapping only
+    fails when hashed. The constructors of the atomic types, `Con` and
+    `App`, whose values key most tables, store the hash at once. The repr
+    names each field. Setting or deleting an attribute raises
+    `FrozenInstanceError`. A pickle or copy rebuilds the record through its
+    constructor, so a kept hash never leaves its process."""
 
     __slots__ = ("_hash",)
     __match_args__: tuple[str, ...] = ()
     # Reads a record's fields: their tuple, or the value of the one field.
     _key: Callable[["Record"], Any]
+    # The values of the trailing fields a caller may leave out.
+    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__match_args__)
 
-    def _init(self, *values: Any) -> None:
-        """Set the fields, in `__match_args__` order."""
-        for name, value in zip(self.__match_args__, values):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__match_args__
+        cls = type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls}() takes {len(names)} positional arguments but {len(args)} were given"
+            )
+        first_default = len(names) - len(self._defaults)
+        for i, name in enumerate(names):
+            if i < len(args):
+                value = args[i]
+                if name in kwargs:
+                    raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= first_default:
+                value = self._defaults[i - first_default]
+            else:
+                raise TypeError(f"{cls}() missing required argument: {name!r}")
             _set(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls}() got an unexpected keyword argument {next(iter(kwargs))!r}")
 
     def _values(self) -> tuple:
         value = self._key(self)
@@ -206,15 +232,14 @@ class Con(Record):
         _set(self, "_hash", hash((name,)))
 
 
-class App:
-    """Application of `fun` to `arg`. Immutable; the hash and the size are
-    computed once, at construction, from the children's stored values, so
-    hashing never walks the term. Equality tests identity, then the stored
-    hashes and sizes, and only then the structure, with an explicit stack."""
+class App(Record):
+    """Application of `fun` to `arg`. The hash and the size are computed
+    once, at construction, from the children's stored values, so hashing
+    never walks the term. Equality tests identity, then the stored hashes
+    and sizes, and only then the structure, with an explicit stack."""
 
-    __slots__ = ("fun", "arg", "size", "_hash")
+    __slots__ = ("fun", "arg", "size")
     __match_args__ = ("fun", "arg")
-
     fun: "TermExpr"
     arg: "TermExpr"
     size: int
@@ -226,19 +251,13 @@ class App:
         init(self, "size", term_size(fun) + term_size(arg))
         init(self, "_hash", hash((fun, arg)))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, App):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         stack: list[tuple[TermExpr, TermExpr]] = [(self, other)]
         while stack:
@@ -246,19 +265,13 @@ class App:
             if a is b:
                 continue
             if isinstance(a, App):
-                if not isinstance(b, App) or a._hash != b._hash or a.size != b.size:
+                if b.__class__ is not a.__class__ or a._hash != b._hash or a.size != b.size:
                     return False
                 stack.append((a.arg, b.arg))
                 stack.append((a.fun, b.fun))
             elif a != b:
                 return False
         return True
-
-    def __reduce__(self) -> tuple:
-        return (App, (self.fun, self.arg))
-
-    def __repr__(self) -> str:
-        return f"App(fun={self.fun!r}, arg={self.arg!r})"
 
 
 TermExpr = Con | App
@@ -382,10 +395,8 @@ class TypeSystem(Record):
     # needs them anyway.
     _parts: Mapping[str, tuple[tuple[AtomicType, ...], AtomicType]]
 
-    def __init__(
-        self, atomic_types: frozenset[AtomicType], constructors: tuple[ConstructorDecl, ...]
-    ) -> None:
-        self._init(atomic_types, constructors)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         by_name: dict[str, ConstructorDecl] = {}
         parts: dict[str, tuple[tuple[AtomicType, ...], AtomicType]] = {}
         for decl in self.constructors:

@@ -50,9 +50,6 @@ class Partition(Record):
     __slots__ = __match_args__ = ("owner",)
     owner: Mapping[AgentId, AgentId]
 
-    def __init__(self, owner: Mapping[AgentId, AgentId]) -> None:
-        self._init(owner)
-
     def cell_of(self, agent: AgentId) -> AgentId | None:
         return self.owner.get(agent)
 

@@ -120,7 +120,7 @@ def reference_fired(rules: TypeRules, agent: int, mask: int) -> list[tuple[int, 
     changed = True
     while changed:
         changed = False
-        for args_mask, target, arg_idxs, _ in rules.ctors[agent]:
+        for args_mask, target, arg_idxs, _ in rules.rows(agent)[0]:
             if not (mask >> target) & 1 and (mask & args_mask) == args_mask:
                 mask |= 1 << target
                 out.append((target, arg_idxs))

@@ -413,10 +413,10 @@ def test_verify_mixed_forms_require_explicit_algorithm(capsys, tmp_path):
         "constraint X ni B => A;\n"
         "constraint X ni B => Y ni A;\n"
     )
-    with pytest.raises(SystemExit) as info:
-        main(["verify", str(spec), "--partition", "canonical"])
-    assert info.value.code == 2
-    assert "mix both negative forms" in capsys.readouterr().err
+    assert main(["verify", str(spec), "--partition", "canonical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constraints mix both negative forms; pass --algorithm\n"
 
 
 # ---------------------------------------------------------------------------

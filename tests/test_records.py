@@ -15,6 +15,7 @@ import pytest
 import privarch
 from privarch import (
     AgentId,
+    App,
     Architecture,
     Arrow,
     Base,
@@ -65,6 +66,7 @@ RECORDS = [
     (Proof, ("holder", "inner"), ("Parent", "INFO")),
     (Arrow, ("domain", "codomain"), (INFO, CONSENT)),
     (Con, ("name",), ("info",)),
+    (App, ("fun", "arg"), (Con("pair"), Con("info"))),
     (ConstructorDecl, ("name", "signature"), ("pair", Arrow(INFO, CONSENT))),
     (TypeSystem, ("atomic_types", "constructors"), (frozenset({INFO, CONSENT}), DECLS)),
     (Violation, ("code", "subject", "message"), ("channels", ("Child",), "self-channel")),
@@ -236,6 +238,28 @@ def test_positional_patterns_bind_the_fields_in_order(cls, names, values):
 @cases
 def test_records_keep_no_instance_dict(cls, names, values):
     assert not hasattr(cls(*values), "__dict__")
+
+
+@cases
+def test_constructors_refuse_arguments_a_dataclass_refuses(cls, names, values):
+    for args, kwargs in (
+        ((), {}),
+        ((*values, None), {}),
+        (values, {names[0]: values[0]}),
+        (values, {"unknown": None}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_left_out_trailing_fields_take_their_defaults():
+    assert TraceCheck(True) == TraceCheck(True, None, None)
+    assert TraceCheck(valid=False, reason="channel") == TraceCheck(False, None, "channel")
+    assert SpecDocument(ARCH, ()) == SpecDocument(ARCH, (), SynthesisConfig())
+    partition = Partition({CHILD: CHILD, PARENT: PARENT})
+    assert SafeArchitecture(ARCH, partition, {}) == SafeArchitecture(ARCH, partition, {}, (), ())
+    with pytest.raises(TypeError):
+        SafeArchitecture(ARCH, partition)
 
 
 def test_only_the_records_used_as_dataclasses_are_dataclasses():
